@@ -9,6 +9,7 @@ analyze timing goes to standard error so reports stay byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -30,11 +31,14 @@ from .graphs import (
     closed_neighbourhood_matrix,
     format_graph,
     format_matrix,
+    is_connected,
     is_isomorphic,
     parse_graph,
     parse_matrix,
 )
 from .perfection import (
+    VERTEX_ENUMERATION_COLUMN_CAP,
+    PerfectionReport,
     is_perfect_matrix,
     perfection_report,
     polytope_vertices,
@@ -227,35 +231,40 @@ def _vertex_rows(m: BinaryMatrix, cap: int) -> list[list[str]]:
     return [list(p.as_strings()) for p in polytope_vertices(m, cap)]
 
 
+def _verdict_sections(rep: PerfectionReport) -> dict:
+    witness = None
+    if rep.clique_graph_witness is not None:
+        kind, nodes = rep.clique_graph_witness
+        witness = {"kind": kind, "nodes": list(nodes)}
+    return {
+        "verdicts": {
+            "extended_clique_node": rep.extended_clique_node,
+            "clique_graph_perfect": rep.clique_graph_perfect,
+            "matrix_perfect": rep.matrix_perfect,
+            "structural_verdict": rep.structural_verdict,
+            "structural_agrees": rep.structural_agrees,
+            "neighbourhood_matrix_perfect": rep.neighbourhood_matrix_perfect,
+        },
+        "witnesses": {
+            "clique_graph": witness,
+            "fractional_vertex": (
+                None
+                if rep.fractional_vertex is None
+                else list(rep.fractional_vertex.as_strings())
+            ),
+        },
+    }
+
+
 def _cmd_perfection(args) -> int:
     cap = args.max_vertex_dim
     if args.graph is not None:
         g, descriptor = _load_graph(args.graph)
-        rep = perfection_report(g, vertex_cap=cap)
-        witness = None
-        if rep.clique_graph_witness is not None:
-            kind, nodes = rep.clique_graph_witness
-            witness = {"kind": kind, "nodes": list(nodes)}
         report = {
             "schema": SCHEMA,
             "command": "perfection",
             "input": descriptor,
-            "verdicts": {
-                "extended_clique_node": rep.extended_clique_node,
-                "clique_graph_perfect": rep.clique_graph_perfect,
-                "matrix_perfect": rep.matrix_perfect,
-                "structural_verdict": rep.structural_verdict,
-                "structural_agrees": rep.structural_agrees,
-                "neighbourhood_matrix_perfect": rep.neighbourhood_matrix_perfect,
-            },
-            "witnesses": {
-                "clique_graph": witness,
-                "fractional_vertex": (
-                    None
-                    if rep.fractional_vertex is None
-                    else list(rep.fractional_vertex.as_strings())
-                ),
-            },
+            **_verdict_sections(perfection_report(g, vertex_cap=cap)),
         }
         if args.emit_vertices:
             report["vertices"] = _vertex_rows(closed_neighbourhood_matrix(g), cap)
@@ -301,9 +310,7 @@ def _cmd_analyze(args) -> int:
     }
 
     l1 = solve_limited_packing(g, 1).optimum
-    unit_lp = None
-    if g.n <= 10:
-        unit_lp = _rat(lp_relaxation(g, 1)[0])
+    unit = rep.unit_relaxation
 
     per_k = {}
     for k in args.k:
@@ -311,42 +318,20 @@ def _cmd_analyze(args) -> int:
             "kpf": solve_kpf(g, k).optimum,
             "limited": solve_limited_packing(g, k).optimum,
             "k_times_l1": k * l1,
+            "relaxation": None if unit is None else _rat(k * unit),
         }
         entry["scaling_equality"] = entry["kpf"] == entry["k_times_l1"]
-        if g.n <= 10:
-            entry["relaxation"] = _rat(lp_relaxation(g, k)[0])
-        else:
-            entry["relaxation"] = None
         per_k[str(k)] = entry
 
-    witness = None
-    if rep.clique_graph_witness is not None:
-        kind, nodes = rep.clique_graph_witness
-        witness = {"kind": kind, "nodes": list(nodes)}
     report = {
         "schema": SCHEMA,
         "command": "analyze",
         "input": descriptor,
         "graph": {"nodes": g.n, "edges": [list(e) for e in g.edges()]},
-        "verdicts": {
-            "extended_clique_node": rep.extended_clique_node,
-            "clique_graph_perfect": rep.clique_graph_perfect,
-            "matrix_perfect": rep.matrix_perfect,
-            "structural_verdict": rep.structural_verdict,
-            "structural_agrees": rep.structural_agrees,
-            "neighbourhood_matrix_perfect": rep.neighbourhood_matrix_perfect,
-        },
-        "witnesses": {
-            "clique_graph": witness,
-            "fractional_vertex": (
-                None
-                if rep.fractional_vertex is None
-                else list(rep.fractional_vertex.as_strings())
-            ),
-        },
+        **_verdict_sections(rep),
         "packing": {
             "l1": l1,
-            "unit_relaxation": unit_lp,
+            "unit_relaxation": None if unit is None else _rat(unit),
             "per_k": per_k,
         },
     }
@@ -366,7 +351,7 @@ def _edge_text(g: Graph) -> str:
     return " ".join(f"{u}-{v}" for u, v in g.edges())
 
 
-def _recognizer_failure(g: Graph) -> str | None:
+def _recognizer_failure(g: Graph, ks: tuple[int, ...]) -> str | None:
     m = closed_neighbourhood_matrix(g)
     a = is_extended_clique_node_by_cliques(m).verdict
     b = is_extended_clique_node_by_pattern(m).verdict
@@ -379,7 +364,7 @@ def _recognizer_failure(g: Graph) -> str | None:
     )
 
 
-def _polytope_failure(g: Graph) -> str | None:
+def _polytope_failure(g: Graph, ks: tuple[int, ...]) -> str | None:
     try:
         perfection_report(g)
     except ConsistencyError as exc:
@@ -387,8 +372,7 @@ def _polytope_failure(g: Graph) -> str | None:
     return None
 
 
-def _scaling_failure(task) -> str | None:
-    g, ks = task
+def _scaling_failure(g: Graph, ks: tuple[int, ...]) -> str | None:
     for k in ks:
         try:
             report = check_scaling_identity(g, k)
@@ -414,34 +398,18 @@ def _census_upto(max_n: int):
         yield from enumerate_connected_graphs(n)
 
 
-def _suite_recognizers(args, out) -> bool:
+def _run_census_suite(check, args, out, lists_k: bool = False) -> bool:
+    """Run ``check(g, ks)`` on every census graph up to ``--max-n``; each
+    non-None result is a failure line."""
     graphs = list(_census_upto(args.max_n))
-    failures = [f for f in _map_tasks(_recognizer_failure, graphs, args.jobs) if f]
+    worker = functools.partial(check, ks=tuple(args.k))
+    failures = [f for f in _map_tasks(worker, graphs, args.jobs) if f]
     for line in failures:
         out(line)
-    out(f"checked: {len(graphs)} connected graphs with at most {args.max_n} nodes")
-    return not failures
-
-
-def _suite_polytope(args, out) -> bool:
-    graphs = list(_census_upto(args.max_n))
-    failures = [f for f in _map_tasks(_polytope_failure, graphs, args.jobs) if f]
-    for line in failures:
-        out(line)
-    out(f"checked: {len(graphs)} connected graphs with at most {args.max_n} nodes")
-    return not failures
-
-
-def _suite_scaling(args, out) -> bool:
-    graphs = list(_census_upto(args.max_n))
-    tasks = [(g, tuple(args.k)) for g in graphs]
-    failures = [f for f in _map_tasks(_scaling_failure, tasks, args.jobs) if f]
-    for line in failures:
-        out(line)
-    out(
-        f"checked: {len(graphs)} connected graphs with at most {args.max_n} nodes, "
-        f"k in {{{','.join(map(str, args.k))}}}"
-    )
+    summary = f"checked: {len(graphs)} connected graphs with at most {args.max_n} nodes"
+    if lists_k:
+        summary += f", k in {{{','.join(map(str, args.k))}}}"
+    out(summary)
     return not failures
 
 
@@ -481,8 +449,6 @@ def _suite_census(args, out) -> bool:
             ok = False
             out(f"counterexample: census({n}) has {len(graphs)} classes, expected {expected}")
         for g in graphs:
-            from .graphs import is_connected
-
             if not is_connected(g):
                 ok = False
                 out(f"counterexample: disconnected census member n={n} [{_edge_text(g)}]")
@@ -491,9 +457,13 @@ def _suite_census(args, out) -> bool:
 
 
 _SUITES = {
-    "recognizers": (_suite_recognizers, 7, None),
-    "polytope": (_suite_polytope, 6, None),
-    "scaling": (_suite_scaling, 6, [2, 3, 4]),
+    "recognizers": (functools.partial(_run_census_suite, _recognizer_failure), 7, None),
+    "polytope": (functools.partial(_run_census_suite, _polytope_failure), 6, None),
+    "scaling": (
+        functools.partial(_run_census_suite, _scaling_failure, lists_k=True),
+        6,
+        [2, 3, 4],
+    ),
     "webs": (_suite_webs, 12, [1, 2, 3, 4]),
     "census": (_suite_census, 7, None),
 }
@@ -576,7 +546,7 @@ def _build_parser() -> argparse.ArgumentParser:
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--graph")
     grp.add_argument("--matrix")
-    p.add_argument("--max-vertex-dim", type=int, default=10)
+    p.add_argument("--max-vertex-dim", type=int, default=VERTEX_ENUMERATION_COLUMN_CAP)
     p.add_argument("--emit-vertices", action="store_true")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_perfection)

@@ -6,7 +6,7 @@ class KpackingError(Exception):
 
 
 class ParseError(KpackingError):
-    """Malformed graph or matrix text."""
+    """Malformed graph or matrix text, or a malformed certificate payload."""
 
 
 class CapExceededError(KpackingError):

@@ -7,7 +7,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import FamilyParameterError
-from .graphs import BinaryMatrix, Graph, _bit, is_isomorphic
+from .graphs import BinaryMatrix, Graph, _bit, _profiles, is_isomorphic
 
 
 def complete(n: int) -> Graph:
@@ -112,17 +112,14 @@ def clique_cycle_family(k: int) -> Graph:
 
 
 def _invariant_key(g: Graph):
-    degs = [row.bit_count() for row in g.adj]
-    profiles = sorted(
-        (degs[v - 1], tuple(sorted(degs[u - 1] for u in g.neighbours(v))))
-        for v in g.nodes()
-    )
+    profiles = sorted(_profiles(g))
     triangles = sum(
         1
         for a, b, c in itertools.combinations(g.nodes(), 3)
         if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)
     )
-    return (g.n, g.edge_count(), tuple(sorted(degs)), tuple(profiles), triangles)
+    degs = tuple(deg for deg, _ in profiles)
+    return (g.n, g.edge_count(), degs, tuple(profiles), triangles)
 
 
 @functools.lru_cache(maxsize=None)

@@ -9,6 +9,7 @@ point participates in any verdict.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,7 +46,10 @@ class RationalPoint:
         return all(c.denominator == 1 for c in self.coords)
 
     def coordinate_sum(self) -> Fraction:
-        return sum(self.coords, Fraction(0))
+        den = math.lcm(*(c.denominator for c in self.coords))
+        return Fraction(
+            sum(c.numerator * (den // c.denominator) for c in self.coords), den
+        )
 
     def as_strings(self) -> tuple[str, ...]:
         return tuple(f"{c.numerator}/{c.denominator}" for c in self.coords)
@@ -253,10 +257,12 @@ class PerfectionReport:
 
     ``neighbourhood_matrix_perfect`` is the membership verdict: the matrix is
     an extended clique-node matrix and its column intersection graph is
-    perfect.  ``matrix_perfect`` is the independent polytope cross-check
-    (None when the graph exceeds the vertex enumeration cap).  The structural
-    screen's verdict is reported but never enforced; it is known to disagree
-    on some graphs (first at 6 nodes).
+    perfect.  ``matrix_perfect`` is the independent polytope cross-check.
+    ``unit_relaxation`` is the largest coordinate sum over the same vertex
+    set, the exact optimum of the linear relaxation at k = 1; the optimum at
+    k is k times it.  Both are None when the graph exceeds the vertex
+    enumeration cap.  The structural screen's verdict is reported but never
+    enforced; it is known to disagree on some graphs (first at 6 nodes).
     """
 
     extended_clique_node: bool
@@ -264,6 +270,7 @@ class PerfectionReport:
     clique_graph_witness: tuple | None
     matrix_perfect: bool | None
     fractional_vertex: RationalPoint | None
+    unit_relaxation: Fraction | None
     structural_verdict: bool
     structural_agrees: bool
     neighbourhood_matrix_perfect: bool
@@ -296,8 +303,12 @@ def perfection_report(
 
     matrix_verdict = None
     fractional = None
+    unit_relaxation = None
     if g.n <= vertex_cap:
-        matrix_verdict, fractional = is_perfect_matrix(m, vertex_cap)
+        vertices = polytope_vertices(m, vertex_cap)
+        fractional = next((p for p in vertices if not p.is_integral()), None)
+        matrix_verdict = fractional is None
+        unit_relaxation = max(p.coordinate_sum() for p in vertices)
         if matrix_verdict != member:
             raise ConsistencyError(
                 "polytope check disagrees with combined verdict: "
@@ -310,6 +321,7 @@ def perfection_report(
         clique_graph_witness=gq_witness,
         matrix_perfect=matrix_verdict,
         fractional_vertex=fractional,
+        unit_relaxation=unit_relaxation,
         structural_verdict=structural.verdict,
         structural_agrees=structural.verdict == member,
         neighbourhood_matrix_perfect=member,

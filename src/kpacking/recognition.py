@@ -19,10 +19,11 @@ re-checked independently via :func:`recheck_certificate`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
-from .errors import CapExceededError, ConsistencyError, ZeroColumnError
+from .errors import CapExceededError, ConsistencyError, ParseError, ZeroColumnError
 from .graphs import (
     BinaryMatrix,
     Graph,
@@ -187,16 +188,11 @@ def _classify_obstruction(sub: Graph) -> str | None:
     return None
 
 
-_SUN_CACHE = None
-
-
+@functools.cache
 def _sun() -> Graph:
-    global _SUN_CACHE
-    if _SUN_CACHE is None:
-        from .families import three_sun
+    from .families import three_sun
 
-        _SUN_CACHE = three_sun()
-    return _SUN_CACHE
+    return three_sun()
 
 
 def find_undominated_obstruction(g: Graph) -> RecognitionCertificate:
@@ -263,8 +259,10 @@ def recheck_certificate(
     ``structural`` certificates need the graph; the other methods need the
     matrix (pass the closed neighbourhood matrix when the instance is a graph).
     Positive certificates are rechecked by rerunning the recognizer; negative
-    ones by validating the stored witness directly.
+    ones by validating the stored witness directly.  A payload of the wrong
+    JSON shape raises ParseError.
     """
+    _check_payload_shape(payload)
     method = payload.get("method")
     verdict = payload.get("verdict")
     if method in ("cliques", "pattern"):
@@ -280,6 +278,25 @@ def recheck_certificate(
             raise ValueError("structural certificates need the graph")
         return _recheck_structural(payload, graph, verdict)
     raise ValueError(f"unknown certificate method {method!r}")
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, int) for x in value)
+
+
+def _check_payload_shape(payload) -> None:
+    if not isinstance(payload, dict):
+        raise ParseError("certificate must be a JSON object")
+    for field in ("uncovered_clique", "pattern_columns", "pattern_rows",
+                  "pattern_zeros", "obstruction_nodes"):
+        if field in payload and not _is_int_list(payload[field]):
+            raise ParseError(f"certificate field {field!r} must be a list of integers")
+    cover = payload.get("cover", [])
+    if not isinstance(cover, list) or not all(
+        isinstance(item, dict) and _is_int_list(item.get("clique"))
+        and isinstance(item.get("row"), int) for item in cover
+    ):
+        raise ParseError("certificate cover items need a 'clique' list and a 'row' integer")
 
 
 def _recheck_cliques(payload: dict, m: BinaryMatrix, verdict: bool) -> bool:

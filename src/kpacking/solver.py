@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceededError, ConsistencyError
-from .graphs import Graph, _bits
-from .perfection import RationalPoint, perfection_report, polytope_vertices
-from .graphs import closed_neighbourhood_matrix
+from .graphs import Graph, _bits, closed_neighbourhood_matrix
+from .perfection import ODD_HOLE_NODE_CAP, perfection_report, polytope_vertices
 
 SOLVER_NODE_CAP = 24
 BRUTEFORCE_STATE_CAP = 10**8
@@ -231,16 +230,16 @@ def check_scaling_identity(g: Graph, k: int) -> ScalingReport:
         )
 
     lp_value = None
-    if g.n <= 10:
-        lp_value = lp_relaxation_value(g, k)
-        if kpf > lp_value:
-            raise ConsistencyError(
-                f"integer optimum {kpf} above the relaxation value {lp_value}"
-            )
-
     perfect = None
-    if g.n <= 16:
-        perfect = perfection_report(g).neighbourhood_matrix_perfect
+    if g.n <= ODD_HOLE_NODE_CAP:
+        rep = perfection_report(g)
+        perfect = rep.neighbourhood_matrix_perfect
+        if rep.unit_relaxation is not None:
+            lp_value = k * rep.unit_relaxation
+            if kpf > lp_value:
+                raise ConsistencyError(
+                    f"integer optimum {kpf} above the relaxation value {lp_value}"
+                )
 
     equality = kpf == scaled
     if perfect and not equality:

@@ -258,6 +258,31 @@ class TestVerifyCertificate:
         assert code == 1
         assert json.loads(out)["valid"] is False
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"method": "cliques", "verdict": True, "cover": [{"row": 1}]},
+            {
+                "method": "pattern",
+                "verdict": False,
+                "pattern_rows": [1, 2, "x"],
+                "pattern_zeros": [1, 2, 3],
+                "pattern_columns": [1, 2, 3],
+            },
+            [{"method": "cliques", "verdict": True}],
+        ],
+        ids=["cover-without-clique", "non-integer-row", "top-level-list"],
+    )
+    def test_malformed_payload_is_a_parse_error(self, capsys, tmp_path, payload):
+        graph_path = tmp_path / "c5.graph"
+        graph_path.write_text(format_graph(cycle(5)))
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "verify-certificate", str(cert_path), "--graph", str(graph_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: certificate")
+
 
 class TestErrorPaths:
     def test_parse_error(self, capsys, tmp_path):

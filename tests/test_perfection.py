@@ -226,6 +226,7 @@ class TestPerfectionReport:
             "1/2",
             "1/2",
         )
+        assert rep.unit_relaxation == Fraction(3, 2)
         assert rep.structural_verdict is False
         assert rep.structural_agrees
         assert not rep.neighbourhood_matrix_perfect
@@ -243,6 +244,7 @@ class TestPerfectionReport:
     def test_matrix_check_skipped_beyond_cap(self):
         rep = perfection_report(cycle(12))
         assert rep.matrix_perfect is None
+        assert rep.unit_relaxation is None
         assert not rep.neighbourhood_matrix_perfect
 
     def test_certificates_round_trip_keys(self):

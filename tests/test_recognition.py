@@ -149,6 +149,14 @@ class TestStructuralScreen:
         assert find_undominated_obstruction(g).verdict is True
         assert both_verdicts(closed_neighbourhood_matrix(g)) is False
 
+    def test_screen_never_rejects_an_accepted_graph(self):
+        # the screen is one-sided: it may accept what the exact methods
+        # reject, never the reverse
+        for n in range(1, 8):
+            for g in enumerate_connected_graphs(n):
+                if both_verdicts(closed_neighbourhood_matrix(g)):
+                    assert find_undominated_obstruction(g).verdict, list(g.edges())
+
 
 class TestTotallyBalanced:
     def test_examples(self):

@@ -185,3 +185,8 @@ class TestScalingReport:
         rep = check_scaling_identity(cycle(17), 2)
         assert rep.neighbourhood_perfect is None
         assert rep.kpf_value >= rep.k_times_l1
+
+    @given(connected_graphs(max_nodes=6), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_relaxation_matches_the_reference(self, g, k):
+        assert check_scaling_identity(g, k).lp_value == lp_relaxation_value(g, k)
