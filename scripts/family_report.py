@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from kpacking import (
     FamilySpec,
     Graph,
-    lp_relaxation_value,
     perfection_report,
     solve_kpf,
     solve_limited_packing,
@@ -59,7 +58,7 @@ def run(config: ReportConfig) -> None:
         rep = perfection_report(built)
         unit = solve_limited_packing(built, 1).optimum
         kpf = solve_kpf(built, config.k).optimum
-        lp = lp_relaxation_value(built, config.k)
+        lp = config.k * rep.unit_relaxation
         label = name if not params else f"{name}({','.join(map(str, params))})"
         print(
             f"{label:<16} {flag(rep.extended_clique_node):>8} "

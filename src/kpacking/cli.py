@@ -12,6 +12,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -389,7 +390,8 @@ def _scaling_failure(g: Graph, ks: tuple[int, ...]) -> str | None:
 def _map_tasks(worker, tasks, jobs: int):
     if jobs <= 1:
         return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # under the fork start method the pool starts all its workers at once
+    with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
         return list(pool.map(worker, tasks, chunksize=8))
 
 

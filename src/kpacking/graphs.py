@@ -11,7 +11,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import CapExceededError, ParseError
+
+# Largest node count a graph file may declare.  Checked before the graph is
+# built, because building one costs time quadratic in n.
+GRAPH_FILE_NODE_CAP = 1024
 
 
 def _bit(v: int) -> int:
@@ -141,14 +145,6 @@ class BinaryMatrix:
     def row_support(self, i: int) -> tuple[int, ...]:
         return tuple(_bits(self.row_masks[i - 1]))
 
-    def column_mask(self, j: int) -> int:
-        """Bitmask over row indices having a 1 in column j."""
-        m = 0
-        for i, row in enumerate(self.row_masks, start=1):
-            if row & _bit(j):
-                m |= _bit(i)
-        return m
-
     def has_zero_column(self) -> bool:
         seen = 0
         for row in self.row_masks:
@@ -157,29 +153,6 @@ class BinaryMatrix:
 
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def is_symmetric(self) -> bool:
-        if not self.is_square():
-            return False
-        return all(
-            self.entry(i, j) == self.entry(j, i)
-            for i in range(1, self.rows + 1)
-            for j in range(i + 1, self.cols + 1)
-        )
-
-    def to_lists(self) -> list[list[int]]:
-        return [
-            [(m >> (j - 1)) & 1 for j in range(1, self.cols + 1)]
-            for m in self.row_masks
-        ]
-
-    def same_rows_up_to_permutation(self, other: "BinaryMatrix") -> bool:
-        """Equality of the two matrices as multisets of rows."""
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and sorted(self.row_masks) == sorted(other.row_masks)
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +409,10 @@ def parse_graph(text: str) -> Graph:
         raise ParseError(f"line {no}: expected 'n m'") from None
     if n < 1 or m < 0:
         raise ParseError(f"line {no}: need n >= 1 and m >= 0")
+    if n > GRAPH_FILE_NODE_CAP:
+        raise CapExceededError(
+            f"line {no}: graph files are capped at {GRAPH_FILE_NODE_CAP} nodes"
+        )
     if len(lines) - 1 != m:
         raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []

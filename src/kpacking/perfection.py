@@ -2,8 +2,9 @@
 for the polytope {x in [0,1]^n : Mx <= 1}, and the combined verdict for a
 graph's closed neighbourhood matrix.
 
-All arithmetic on polytope data is exact (fractions.Fraction); no floating
-point participates in any verdict.
+All arithmetic on polytope data is exact: each candidate basis is solved by
+Gauss-Jordan elimination over the integers, and coordinates are returned as
+fractions.Fraction.  No floating point participates in any verdict.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .graphs import (
     _bits,
     closed_neighbourhood_matrix,
     complement,
-    induced_cycles,
+    find_induced_cycle,
     induced_subgraph,
 )
 from .recognition import (
@@ -55,23 +56,23 @@ class RationalPoint:
         return tuple(f"{c.numerator}/{c.denominator}" for c in self.coords)
 
 
-def find_odd_hole(g: Graph, max_nodes: int = ODD_HOLE_NODE_CAP):
+def find_odd_hole(g: Graph):
     """First induced odd cycle of length >= 5 in the deterministic search
     order, or None.  Graphs above the node cap are rejected.
     """
-    if g.n > max_nodes:
-        raise CapExceededError(f"odd hole search capped at {max_nodes} nodes")
-    return next(induced_cycles(g, min_length=5, odd_only=True), None)
+    if g.n > ODD_HOLE_NODE_CAP:
+        raise CapExceededError(f"odd hole search capped at {ODD_HOLE_NODE_CAP} nodes")
+    return find_induced_cycle(g, 5, odd_only=True)
 
 
-def is_perfect_graph(g: Graph, max_nodes: int = ODD_HOLE_NODE_CAP):
+def is_perfect_graph(g: Graph):
     """(verdict, witness): witness is ("odd_hole", nodes) or ("odd_antihole",
     nodes) where the node tuple induces a hole in the graph or its complement.
     """
-    hole = find_odd_hole(g, max_nodes)
+    hole = find_odd_hole(g)
     if hole is not None:
         return False, ("odd_hole", hole)
-    antihole = find_odd_hole(complement(g), max_nodes)
+    antihole = find_odd_hole(complement(g))
     if antihole is not None:
         return False, ("odd_antihole", antihole)
     return True, None
@@ -81,31 +82,41 @@ def is_perfect_graph(g: Graph, max_nodes: int = ODD_HOLE_NODE_CAP):
 # vertex enumeration
 
 
+def _eliminate(rows: list[list[int]], width: int) -> list[int]:
+    """Gauss-Jordan elimination of integer ``rows`` in place, searching the
+    first ``width`` columns for pivots.  Returns the pivot columns: afterwards
+    row i carries the pivot of column ``pivots[i]`` and every other row is zero
+    there.  Rows stay primitive (their gcd is divided out), so entries stay
+    small and no fraction arises.
+    """
+    pivots: list[int] = []
+    for col in range(width):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[top], rows[piv] = rows[piv], rows[top]
+        prow = rows[top]
+        a = prow[col]
+        for r, row in enumerate(rows):
+            b = row[col]
+            if b and r != top:
+                row = [a * x - b * y for x, y in zip(row, prow)]
+                g = math.gcd(*row)
+                rows[r] = [x // g for x in row] if g > 1 else row
+        pivots.append(col)
+    return pivots
+
+
 def _solve_unit_sum_system(masks, cols):
     """Solve sum(x_j for j in mask) == 1 for each mask; unknowns are ``cols``.
     Returns col -> Fraction, or None when the square system is singular.
     """
     k = len(cols)
-    pos = {c: i for i, c in enumerate(cols)}
-    a = []
-    for mk in masks:
-        row = [Fraction(0)] * (k + 1)
-        row[k] = Fraction(1)
-        for j in _bits(mk):
-            row[pos[j]] = Fraction(1)
-        a.append(row)
-    for col in range(k):
-        piv = next((r for r in range(col, k) if a[r][col]), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for r in range(k):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return {c: a[i][k] for c, i in pos.items()}
+    rows = [[(mk >> (c - 1)) & 1 for c in cols] + [1] for mk in masks]
+    if len(_eliminate(rows, k)) < k:
+        return None
+    return {c: Fraction(rows[i][k], rows[i][i]) for i, c in enumerate(cols)}
 
 
 def polytope_vertices(
@@ -206,31 +217,17 @@ def tight_constraint_rank(m: BinaryMatrix, point: RationalPoint) -> int:
     coordinates at either bound).  Vertices have rank equal to the dimension.
     """
     n = m.cols
-    rows: list[list[Fraction]] = []
-    for mk in m.row_masks:
-        if sum((point.coords[j - 1] for j in _bits(mk)), Fraction(0)) == 1:
-            rows.append(
-                [Fraction(1) if mk & _bit(j) else Fraction(0) for j in range(1, n + 1)]
-            )
-    for j, c in enumerate(point.coords, start=1):
-        if c == 0 or c == 1:
-            rows.append(
-                [Fraction(1) if i == j else Fraction(0) for i in range(1, n + 1)]
-            )
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col]
-        rows[rank] = [x / inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+    rows = [
+        [(mk >> j) & 1 for j in range(n)]
+        for mk in m.row_masks
+        if sum(point.coords[j - 1] for j in _bits(mk)) == 1
+    ]
+    rows += [
+        [int(i == j) for i in range(n)]
+        for j, c in enumerate(point.coords)
+        if c == 0 or c == 1
+    ]
+    return len(_eliminate(rows, n))
 
 
 def is_perfect_matrix(

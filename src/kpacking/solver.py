@@ -55,11 +55,11 @@ class SolveResult:
     explored: int
 
 
-def _branch_and_bound(g: Graph, k: int, unit_values: bool, max_nodes: int) -> SolveResult:
+def _branch_and_bound(g: Graph, k: int, unit_values: bool) -> SolveResult:
     if k < 1:
         raise ValueError("the packing bound k must be a positive integer")
-    if g.n > max_nodes:
-        raise CapExceededError(f"solver capped at {max_nodes} nodes")
+    if g.n > SOLVER_NODE_CAP:
+        raise CapExceededError(f"solver capped at {SOLVER_NODE_CAP} nodes")
     n = g.n
     order = sorted(g.nodes(), key=lambda v: (-g.degree(v), v))
     closed = [g.closed_mask(v) for v in g.nodes()]
@@ -116,19 +116,17 @@ def _branch_and_bound(g: Graph, k: int, unit_values: bool, max_nodes: int) -> So
     )
 
 
-def solve_kpf(g: Graph, k: int, max_nodes: int = SOLVER_NODE_CAP) -> SolveResult:
+def solve_kpf(g: Graph, k: int) -> SolveResult:
     """Maximum total of an integer node labeling with every closed
     neighbourhood summing to at most k.  Exact; witness is the
     lexicographically largest optimum under the returned node order.
     """
-    return _branch_and_bound(g, k, unit_values=False, max_nodes=max_nodes)
+    return _branch_and_bound(g, k, unit_values=False)
 
 
-def solve_limited_packing(
-    g: Graph, k: int, max_nodes: int = SOLVER_NODE_CAP
-) -> SolveResult:
+def solve_limited_packing(g: Graph, k: int) -> SolveResult:
     """Binary variant: same constraints, values restricted to {0,1}."""
-    return _branch_and_bound(g, k, unit_values=True, max_nodes=max_nodes)
+    return _branch_and_bound(g, k, unit_values=True)
 
 
 def _exhaustive(g: Graph, k: int, top: int) -> SolveResult:

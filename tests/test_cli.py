@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -139,6 +140,13 @@ class TestRecognize:
         code, _, _ = run(capsys, "recognize", "--matrix", str(path), "--method", "structural")
         assert code == 2
 
+    def test_oversize_graph_file(self, capsys, tmp_path):
+        path = tmp_path / "huge.graph"
+        path.write_text("100000 0\n")
+        code, _, err = run(capsys, "recognize", "--graph", str(path))
+        assert code == 3
+        assert "cap" in err.lower()
+
     def test_graph_and_matrix_are_exclusive(self, capsys, square):
         code, _, _ = run(capsys, "recognize", "--graph", square, "--matrix", square)
         assert code == 2
@@ -227,6 +235,30 @@ class TestVerify:
     def test_parallel_jobs(self, capsys):
         code, _, _ = run(capsys, "verify", "recognizers", "--max-n", "5", "--jobs", "2")
         assert code == 0
+
+    def test_jobs_clamped_to_cpu_count(self, capsys, monkeypatch):
+        requested = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("kpacking.cli.ProcessPoolExecutor", InProcessPool)
+        argv = ("verify", "recognizers", "--max-n", "4")
+        serial = run(capsys, *argv, "--jobs", "1")
+        wide = run(capsys, *argv, "--jobs", "100000")
+        assert len(requested) == 1
+        assert requested[0] <= (os.cpu_count() or 1)
+        assert wide == serial
 
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, "verify", "everything")

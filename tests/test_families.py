@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from kpacking import (
     FAMILIES,
+    BinaryMatrix,
     FamilyParameterError,
     FamilySpec,
     antiweb,
@@ -110,17 +111,19 @@ class TestCirculantMatrix:
     def test_row_structure(self):
         m = circulant_matrix(5, 2)
         # row i marks the two successors of i, wrapping modulo 5
-        assert m.to_lists() == [
-            [0, 1, 1, 0, 0],
-            [0, 0, 1, 1, 0],
-            [0, 0, 0, 1, 1],
-            [1, 0, 0, 0, 1],
-            [1, 1, 0, 0, 0],
-        ]
+        assert m == BinaryMatrix.from_rows(
+            [
+                [0, 1, 1, 0, 0],
+                [0, 0, 1, 1, 0],
+                [0, 0, 0, 1, 1],
+                [1, 0, 0, 0, 1],
+                [1, 1, 0, 0, 0],
+            ]
+        )
 
     def test_full_band(self):
         m = circulant_matrix(4, 3)
-        assert all(sum(row) == 3 for row in m.to_lists())
+        assert all(mk.bit_count() == 3 for mk in m.row_masks)
         assert not m.has_zero_column()
 
     def test_parameter_range(self):

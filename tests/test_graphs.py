@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from kpacking import (
     BinaryMatrix,
+    CapExceededError,
     Graph,
     ParseError,
     closed_neighbourhood_matrix,
@@ -67,14 +68,15 @@ class TestGraphBasics:
 class TestClosedNeighbourhoodMatrix:
     def test_square_cycle(self):
         m = closed_neighbourhood_matrix(cycle(4))
-        assert m.to_lists() == [
-            [1, 1, 0, 1],
-            [1, 1, 1, 0],
-            [0, 1, 1, 1],
-            [1, 0, 1, 1],
-        ]
+        assert m == BinaryMatrix.from_rows(
+            [
+                [1, 1, 0, 1],
+                [1, 1, 1, 0],
+                [0, 1, 1, 1],
+                [1, 0, 1, 1],
+            ]
+        )
         assert m.is_square()
-        assert m.is_symmetric()
 
     @given(graphs(max_nodes=6))
     def test_diagonal_is_all_ones(self, g):
@@ -219,6 +221,10 @@ class TestGraphText:
         with pytest.raises(ParseError, match="line 3"):
             parse_graph("3 2\n1 2\nx y\n")
 
+    def test_oversize_header_rejected(self):
+        with pytest.raises(CapExceededError):
+            parse_graph("100000 0\n")
+
     @given(graphs(max_nodes=7))
     def test_round_trip_property(self, g):
         assert parse_graph(format_graph(g)) == g
@@ -244,7 +250,6 @@ class TestBinaryMatrix:
         assert m.entry(1, 3) == 1
         assert m.entry(2, 3) == 0
         assert m.row_support(1) == (1, 3)
-        assert m.column_mask(2) == 0b10
         assert not m.has_zero_column()
         assert not m.is_square()
         assert BinaryMatrix.from_rows([[1, 0], [0, 1]]).has_zero_column() is False
@@ -255,10 +260,3 @@ class TestBinaryMatrix:
             BinaryMatrix.from_rows([[1, 2]])
         with pytest.raises(ValueError):
             BinaryMatrix.from_rows([])
-
-    def test_row_permutation_equivalence(self):
-        a = BinaryMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
-        b = BinaryMatrix.from_rows([[0, 1, 1], [1, 1, 0]])
-        c = BinaryMatrix.from_rows([[1, 1, 0], [1, 0, 1]])
-        assert a.same_rows_up_to_permutation(b)
-        assert not a.same_rows_up_to_permutation(c)

@@ -149,6 +149,19 @@ class TestPolytopeVertices:
         for p in polytope_vertices(m):
             assert tight_constraint_rank(m, p) == m.cols
 
+    @pytest.mark.parametrize(
+        "g, coords, rank",
+        [
+            (cycle(4), (Fraction(1, 6),) * 4, 0),
+            (cycle(4), (Fraction(1, 2), 0, 0, 0), 3),
+            # two tight rows, but they are the same row
+            (complete(2), (Fraction(1, 2),) * 2, 1),
+        ],
+    )
+    def test_tight_rank_of_points_that_are_not_vertices(self, g, coords, rank):
+        point = RationalPoint(tuple(Fraction(c) for c in coords))
+        assert tight_constraint_rank(closed_neighbourhood_matrix(g), point) == rank
+
 
 class TestPerfectMatrix:
     def test_perfect_examples(self):
