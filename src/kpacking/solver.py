@@ -20,6 +20,7 @@ from .graphs import Graph, _bits, closed_neighbourhood_matrix
 from .perfection import ODD_HOLE_NODE_CAP, perfection_report, polytope_vertices
 
 SOLVER_NODE_CAP = 24
+SOLVER_EXPLORED_CAP = 5 * 10**6  # children tried by one branch-and-bound run
 BRUTEFORCE_STATE_CAP = 10**8
 
 
@@ -56,54 +57,87 @@ class SolveResult:
 
 
 def _branch_and_bound(g: Graph, k: int, unit_values: bool) -> SolveResult:
+    """Depth-first search over the nodes by decreasing degree, each node
+    trying its values from the largest feasible one down to 0.
+
+    Giving value t to the node at depth i is one explored child.  It is
+    searched only if ``total + t + min(pooled, capped)`` beats the incumbent:
+
+    * ``pooled`` is the slack left in all n rows divided by the smallest
+      closed neighbourhood among the nodes still to assign.  The slack is
+      passed down the recursion: it starts at ``n * k`` and each assignment
+      takes ``t * |N[u]|`` from it.
+    * ``capped`` is the sum of the value caps of the nodes still to assign,
+      a node's cap being the least residual over its closed neighbourhood.
+      The sum stops as soon as it settles the comparison.
+
+    Once more than ``SOLVER_EXPLORED_CAP`` children have been tried the search
+    raises ``CapExceededError``.
+    """
     if k < 1:
         raise ValueError("the packing bound k must be a positive integer")
     if g.n > SOLVER_NODE_CAP:
         raise CapExceededError(f"solver capped at {SOLVER_NODE_CAP} nodes")
+    explored_cap = SOLVER_EXPLORED_CAP
     n = g.n
     order = sorted(g.nodes(), key=lambda v: (-g.degree(v), v))
-    closed = [g.closed_mask(v) for v in g.nodes()]
-    closed_sizes = [m.bit_count() for m in closed]
+    # per depth: the 0-based rows of N[order[i]], i.e. the constraints it enters
+    rows = [[v - 1 for v in _bits(g.closed_mask(u))] for u in order]
     # smallest closed neighbourhood among nodes still to assign, per depth
-    min_suffix_size = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        s = closed_sizes[order[i] - 1]
-        min_suffix_size[i] = s if i == n - 1 else min(s, min_suffix_size[i + 1])
-
-    residual = [k] * (n + 1)  # 1-based
+    min_suffix_size = [len(row) for row in rows]
+    for i in range(n - 2, -1, -1):
+        min_suffix_size[i] = min(min_suffix_size[i], min_suffix_size[i + 1])
+    # rows[j:] per depth j, built once so that no child copies a slice
+    suffix_rows = [rows[i:] for i in range(n + 1)]
+    top = 1 if unit_values else k
+    residual = [k] * n
+    at = residual.__getitem__
     assignment = [0] * n
     best_value = -1
     best: tuple[int, ...] | None = None
     explored = 0
 
-    def value_cap(v: int) -> int:
-        c = min(residual[u] for u in _bits(closed[v - 1]))
-        return min(c, 1) if unit_values else c
+    def caps_exceed(j: int, need: int) -> bool:
+        # do the value caps of the nodes from depth j on sum to over need?
+        capped = 0
+        for row in suffix_rows[j]:
+            capped += min(top, *map(at, row))
+            if capped > need:
+                return True
+        return False
 
-    def dfs(i: int, total: int) -> None:
+    def dfs(i: int, total: int, slack: int) -> None:
         nonlocal best_value, best, explored
         if i == n:
             if total > best_value:
                 best_value = total
                 best = tuple(assignment)
             return
-        u = order[i]
-        for t in range(value_cap(u), -1, -1):
+        row = rows[i]
+        size = len(row)
+        for t in range(min(top, *map(at, row)), -1, -1):
             explored += 1
-            assignment[i] = t
-            for v in _bits(closed[u - 1]):
+            if explored > explored_cap:
+                raise CapExceededError(
+                    f"solver explored more than {explored_cap} nodes"
+                )
+            # search the child only if min(pooled, capped) > need; both are
+            # >= 0, and both are 0 once no node is left
+            need = best_value - total - t
+            child_slack = slack - t * size
+            if need >= 0 and (
+                i + 1 == n or child_slack // min_suffix_size[i + 1] <= need
+            ):
+                continue
+            for v in row:
                 residual[v] -= t
-            remaining = order[i + 1 :]
-            slack = sum(residual[v] for v in g.nodes())
-            pooled = slack // min_suffix_size[i + 1] if remaining else 0
-            capped = sum(value_cap(w) for w in remaining)
-            if total + t + min(pooled, capped) > best_value:
-                dfs(i + 1, total + t)
-            for v in _bits(closed[u - 1]):
+            if need < 0 or caps_exceed(i + 1, need):
+                assignment[i] = t
+                dfs(i + 1, total + t, child_slack)
+            for v in row:
                 residual[v] += t
-        assignment[i] = 0
 
-    dfs(0, 0)
+    dfs(0, 0, n * k)
     assert best is not None
     values = [0] * n
     for i, v in enumerate(order):
@@ -120,12 +154,15 @@ def solve_kpf(g: Graph, k: int) -> SolveResult:
     """Maximum total of an integer node labeling with every closed
     neighbourhood summing to at most k.  Exact; witness is the
     lexicographically largest optimum under the returned node order.
+    Raises ``CapExceededError`` above ``SOLVER_NODE_CAP`` nodes or
+    ``SOLVER_EXPLORED_CAP`` explored children.
     """
     return _branch_and_bound(g, k, unit_values=False)
 
 
 def solve_limited_packing(g: Graph, k: int) -> SolveResult:
-    """Binary variant: same constraints, values restricted to {0,1}."""
+    """Binary variant: same constraints, values restricted to {0,1}; same
+    witness contract and caps as ``solve_kpf``."""
     return _branch_and_bound(g, k, unit_values=True)
 
 

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+import kpacking.solver
 from kpacking import (
     closed_neighbourhood_matrix,
     cycle,
@@ -111,6 +112,17 @@ class TestSolve:
         assert code == 3
         assert "cap" in err.lower()
 
+    def test_explored_cap_exit(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(kpacking.solver, "SOLVER_EXPLORED_CAP", 1000)
+        path = tmp_path / "c5.graph"
+        path.write_text(format_graph(cycle(5)))
+        code, _, _ = run(capsys, "solve", str(path), "--k", "10")
+        assert code == 0
+        code, out, err = run(capsys, "solve", str(path), "--k", "20")
+        assert code == 3
+        assert out == ""
+        assert "explored" in err
+
 
 class TestRecognize:
     def test_all_methods_on_graph(self, capsys, octahedron):
@@ -146,6 +158,15 @@ class TestRecognize:
         code, _, err = run(capsys, "recognize", "--graph", str(path))
         assert code == 3
         assert "cap" in err.lower()
+
+    def test_structural_screen_cap(self, capsys, tmp_path):
+        path = tmp_path / "c25.graph"
+        path.write_text(format_graph(cycle(25)))
+        code, _, err = run(capsys, "recognize", "--graph", str(path))
+        assert code == 3
+        assert "structural screen capped" in err
+        payload, _ = run_json(capsys, "recognize", "--graph", str(path), "--method", "cliques")
+        assert payload["methods"]["cliques"]["verdict"] is True
 
     def test_graph_and_matrix_are_exclusive(self, capsys, square):
         code, _, _ = run(capsys, "recognize", "--graph", square, "--matrix", square)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
+import kpacking.recognition
 from kpacking import (
     BinaryMatrix,
     ZeroColumnError,
@@ -156,6 +157,12 @@ class TestStructuralScreen:
             for g in enumerate_connected_graphs(n):
                 if both_verdicts(closed_neighbourhood_matrix(g)):
                     assert find_undominated_obstruction(g).verdict, list(g.edges())
+
+    def test_screen_node_cap(self, monkeypatch):
+        monkeypatch.setattr(kpacking.recognition, "STRUCTURAL_SCREEN_NODE_CAP", 6)
+        assert find_undominated_obstruction(cycle(6)).verdict is False
+        with pytest.raises(CapExceededError, match="structural screen"):
+            find_undominated_obstruction(cycle(7))
 
 
 class TestTotallyBalanced:

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kpacking.solver
 from kpacking import (
     CapExceededError,
     Graph,
     PackingFunction,
     check_scaling_identity,
+    clique_cycle_family,
     complete,
     cycle,
     enumerate_connected_graphs,
@@ -86,6 +88,35 @@ class TestSolveFixtures:
         with pytest.raises(CapExceededError):
             solve_kpf_bruteforce(cycle(9), 9)
 
+    def test_explored_cap(self, monkeypatch):
+        monkeypatch.setattr(kpacking.solver, "SOLVER_EXPLORED_CAP", 1000)
+        assert solve_kpf(cycle(5), 10).explored == 310
+        with pytest.raises(CapExceededError, match="explored more than 1000"):
+            solve_kpf(cycle(5), 20)  # explores 4176 children uncapped
+
+
+# (graph, k, solve_kpf (optimum, explored), solve_limited_packing (...)):
+# any change to the search order or the bound must update this table
+SEARCH_TREES = [
+    ("cycle(11)", cycle(11), 5, (18, 10378), (11, 22)),
+    ("cycle(5)", cycle(5), 20, (33, 4176), (5, 10)),
+    ("wheel(8)", wheel(8), 2, (2, 70), (2, 60)),
+    ("three_sun", three_sun(), 2, (3, 42), (3, 34)),
+    ("clique_cycle(2)", clique_cycle_family(2), 2, (5, 138), (5, 110)),
+    ("web(9,2)", web(9, 2), 3, (5, 60), (5, 14)),
+]
+
+
+@pytest.mark.parametrize(
+    "g, k, kpf, limited", [case[1:] for case in SEARCH_TREES],
+    ids=[case[0] for case in SEARCH_TREES],
+)
+def test_search_tree_is_pinned(g, k, kpf, limited):
+    res = solve_kpf(g, k)
+    assert (res.optimum, res.explored) == kpf
+    res = solve_limited_packing(g, k)
+    assert (res.optimum, res.explored) == limited
+
 
 class TestSolverAgainstBruteForce:
     def test_exhaustive_small_census(self):
@@ -106,6 +137,11 @@ class TestSolverAgainstBruteForce:
                 assert fast.optimum == slow.optimum
                 assert fast.witness.is_binary()
                 assert fast.witness.is_feasible(g)
+
+    @given(connected_graphs(max_nodes=7), st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_limited_variant_matches_random_graphs(self, g, k):
+        assert solve_limited_packing(g, k).optimum == solve_limited_bruteforce(g, k).optimum
 
     def test_regular_graph_witnesses_match_exactly(self):
         # on regular graphs the search order equals label order, so the
