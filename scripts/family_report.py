@@ -4,13 +4,7 @@
 import argparse
 from dataclasses import dataclass
 
-from kpacking import (
-    FamilySpec,
-    Graph,
-    perfection_report,
-    solve_kpf,
-    solve_limited_packing,
-)
+from kpacking import FamilySpec, Graph, perfection_report, scaling_reports
 
 DEFAULT_ROWS = (
     ("complete", (5,)),
@@ -56,16 +50,15 @@ def run(config: ReportConfig) -> None:
         if not isinstance(built, Graph):
             continue
         rep = perfection_report(built)
-        unit = solve_limited_packing(built, 1).optimum
-        kpf = solve_kpf(built, config.k).optimum
-        lp = config.k * rep.unit_relaxation
+        (scaling,) = scaling_reports(built, (config.k,), rep)
         label = name if not params else f"{name}({','.join(map(str, params))})"
         print(
             f"{label:<16} {flag(rep.extended_clique_node):>8} "
             f"{flag(rep.clique_graph_perfect):>7} "
             f"{flag(rep.neighbourhood_matrix_perfect):>6} "
             f"{flag(rep.structural_verdict):>6} "
-            f"{unit:>3} {kpf:>4} {config.k * unit:>4} {str(lp):>6}"
+            f"{scaling.l1_value:>3} {scaling.kpf_value:>4} "
+            f"{scaling.k_times_l1:>4} {str(scaling.lp_value):>6}"
         )
 
 

@@ -37,10 +37,8 @@ from .graphs import (
     is_connected,
     is_isomorphic,
     maximal_cliques,
-    maximal_cliques_bruteforce,
     parse_graph,
     parse_matrix,
-    relabel,
     universal_nodes,
 )
 from .perfection import (
@@ -70,7 +68,7 @@ from .solver import (
     SolveResult,
     check_scaling_identity,
     lp_relaxation,
-    lp_relaxation_value,
+    scaling_reports,
     solve_kpf,
     solve_kpf_bruteforce,
     solve_limited_bruteforce,

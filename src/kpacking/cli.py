@@ -52,8 +52,8 @@ from .recognition import (
     recheck_certificate,
 )
 from .solver import (
-    check_scaling_identity,
     lp_relaxation,
+    scaling_reports,
     solve_kpf,
     solve_kpf_bruteforce,
     solve_limited_bruteforce,
@@ -310,19 +310,18 @@ def _cmd_analyze(args) -> int:
         name: cert.to_payload() for name, cert in sorted(rep.certificates.items())
     }
 
-    l1 = solve_limited_packing(g, 1).optimum
-    unit = rep.unit_relaxation
-
-    per_k = {}
-    for k in args.k:
-        entry = {
-            "kpf": solve_kpf(g, k).optimum,
-            "limited": solve_limited_packing(g, k).optimum,
-            "k_times_l1": k * l1,
-            "relaxation": None if unit is None else _rat(k * unit),
+    scaling = scaling_reports(g, args.k, rep)
+    per_k = {
+        str(r.k): {
+            "kpf": r.kpf_value,
+            "limited": r.limited_value,
+            "k_times_l1": r.k_times_l1,
+            "relaxation": None if r.lp_value is None else _rat(r.lp_value),
+            "scaling_equality": r.equality,
         }
-        entry["scaling_equality"] = entry["kpf"] == entry["k_times_l1"]
-        per_k[str(k)] = entry
+        for r in scaling
+    }
+    unit = rep.unit_relaxation
 
     report = {
         "schema": SCHEMA,
@@ -331,7 +330,7 @@ def _cmd_analyze(args) -> int:
         "graph": {"nodes": g.n, "edges": [list(e) for e in g.edges()]},
         **_verdict_sections(rep),
         "packing": {
-            "l1": l1,
+            "l1": scaling[0].l1_value,
             "unit_relaxation": None if unit is None else _rat(unit),
             "per_k": per_k,
         },
@@ -374,16 +373,11 @@ def _polytope_failure(g: Graph, ks: tuple[int, ...]) -> str | None:
 
 
 def _scaling_failure(g: Graph, ks: tuple[int, ...]) -> str | None:
-    for k in ks:
-        try:
-            report = check_scaling_identity(g, k)
-        except ConsistencyError as exc:
-            return f"counterexample: n={g.n} k={k} edges=[{_edge_text(g)}] {exc}"
-        if report.neighbourhood_perfect and not report.equality:
-            return (
-                f"counterexample: n={g.n} k={k} edges=[{_edge_text(g)}] "
-                f"kpf={report.kpf_value} expected={report.k_times_l1}"
-            )
+    # a violation's message names its k
+    try:
+        scaling_reports(g, ks, perfection_report(g))
+    except ConsistencyError as exc:
+        return f"counterexample: n={g.n} edges=[{_edge_text(g)}] {exc}"
     return None
 
 

@@ -6,8 +6,15 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .errors import FamilyParameterError
-from .graphs import BinaryMatrix, Graph, _bit, _profiles, is_isomorphic
+from .errors import CapExceededError, FamilyParameterError
+from .graphs import (
+    GRAPH_FILE_NODE_CAP,
+    BinaryMatrix,
+    Graph,
+    _bit,
+    _profiles,
+    is_isomorphic,
+)
 
 
 def complete(n: int) -> Graph:
@@ -171,6 +178,17 @@ class FamilySpec:
             raise FamilyParameterError(
                 f"family {self.family!r} takes {arity} parameter(s), "
                 f"got {len(self.parameters)}"
+            )
+        # checked before building, because building costs time quadratic in n
+        if self.family == "clique_cycle":
+            nodes = 4 * self.parameters[0] + 2
+        elif self.family in ("three_sun", "pyramid"):
+            nodes = 6
+        else:
+            nodes = self.parameters[0]
+        if nodes > GRAPH_FILE_NODE_CAP:
+            raise CapExceededError(
+                f"family members are capped at {GRAPH_FILE_NODE_CAP} nodes"
             )
         return builder(*self.parameters)
 

@@ -8,7 +8,6 @@ library targets (a few dozen nodes).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import CapExceededError, ParseError
@@ -185,15 +184,6 @@ def induced_subgraph(g: Graph, nodes) -> Graph:
     return Graph(len(sel), tuple(adj))
 
 
-def relabel(g: Graph, mapping) -> Graph:
-    """Apply a bijection old-label -> new-label given as a dict or sequence."""
-    if not isinstance(mapping, dict):
-        mapping = {i + 1: w for i, w in enumerate(mapping)}
-    if sorted(mapping) != list(g.nodes()) or sorted(mapping.values()) != list(g.nodes()):
-        raise ValueError("mapping must be a bijection on 1..n")
-    return Graph.from_edges(g.n, [(mapping[u], mapping[v]) for u, v in g.edges()])
-
-
 def universal_nodes(g: Graph) -> tuple[int, ...]:
     """Nodes adjacent to every other node, ascending."""
     full = (1 << g.n) - 1
@@ -246,24 +236,6 @@ def maximal_cliques(g: Graph) -> tuple[tuple[int, ...], ...]:
 
     expand(0, (1 << g.n) - 1, 0)
     return tuple(sorted(tuple(_bits(m)) for m in out))
-
-
-def maximal_cliques_bruteforce(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Reference oracle: scan all 2^n subsets.  Intended for n <= 7."""
-    cliques = []
-    for mask in range(1, 1 << g.n):
-        members = list(_bits(mask))
-        if not all(g.has_edge(u, v) for u, v in itertools.combinations(members, 2)):
-            continue
-        # maximal iff no outside node is adjacent to every member
-        if any(
-            g.adj[w - 1] & mask == mask
-            for w in g.nodes()
-            if not mask & _bit(w)
-        ):
-            continue
-        cliques.append(tuple(members))
-    return tuple(sorted(cliques))
 
 
 def _profiles(g: Graph) -> list[tuple[int, tuple[int, ...]]]:

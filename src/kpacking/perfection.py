@@ -281,8 +281,12 @@ def perfection_report(
 
     The two exact recognizers must agree, and when the polytope check runs it
     must agree with the combined verdict; violations raise ConsistencyError
-    since they would demonstrate a bug, not a property of the graph.
+    since they would demonstrate a bug, not a property of the graph.  Graphs
+    above ``ODD_HOLE_NODE_CAP`` are refused before any work, because the odd
+    hole search on the n-node column intersection graph would refuse them.
     """
+    if g.n > ODD_HOLE_NODE_CAP:
+        raise CapExceededError(f"odd hole search capped at {ODD_HOLE_NODE_CAP} nodes")
     m = closed_neighbourhood_matrix(g)
     by_cliques = is_extended_clique_node_by_cliques(m)
     by_pattern = is_extended_clique_node_by_pattern(m)

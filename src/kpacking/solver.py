@@ -12,12 +12,18 @@ neighbourhood at most k":
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceededError, ConsistencyError
 from .graphs import Graph, _bits, closed_neighbourhood_matrix
-from .perfection import ODD_HOLE_NODE_CAP, perfection_report, polytope_vertices
+from .perfection import (
+    ODD_HOLE_NODE_CAP,
+    PerfectionReport,
+    perfection_report,
+    polytope_vertices,
+)
 
 SOLVER_NODE_CAP = 24
 SOLVER_EXPLORED_CAP = 5 * 10**6  # children tried by one branch-and-bound run
@@ -223,10 +229,6 @@ def lp_relaxation(g: Graph, k: int):
     return k * best_point.coordinate_sum(), best_point
 
 
-def lp_relaxation_value(g: Graph, k: int) -> Fraction:
-    return lp_relaxation(g, k)[0]
-
-
 # ---------------------------------------------------------------------------
 # scaling identity
 
@@ -249,46 +251,50 @@ class ScalingReport:
     equality: bool
 
 
-def check_scaling_identity(g: Graph, k: int) -> ScalingReport:
-    kpf = solve_kpf(g, k).optimum
-    limited = solve_limited_packing(g, k).optimum
+def scaling_reports(
+    g: Graph, ks: Iterable[int], rep: PerfectionReport | None
+) -> tuple[ScalingReport, ...]:
+    """One ``ScalingReport`` per k in ``ks``, with ``L_1`` solved once.
+
+    ``rep`` is the caller's ``perfection_report(g)``, or None above
+    ``ODD_HOLE_NODE_CAP``.  Raises ``ConsistencyError``, naming the k, when an
+    optimum breaks a bound that holds for every graph or when N[g] is perfect
+    and the identity fails.
+    """
     l1 = solve_limited_packing(g, 1).optimum
-    scaled = k * l1
-
-    if kpf < scaled:
-        raise ConsistencyError(
-            f"integer optimum {kpf} below k times the binary optimum {scaled}"
+    perfect = None if rep is None else rep.neighbourhood_matrix_perfect
+    unit = None if rep is None else rep.unit_relaxation
+    reports = []
+    for k in ks:
+        kpf = solve_kpf(g, k).optimum
+        limited = solve_limited_packing(g, k).optimum
+        scaled = k * l1
+        lp_value = None if unit is None else k * unit
+        if kpf < scaled:
+            raise ConsistencyError(
+                f"k={k}: integer optimum {kpf} below k times the binary optimum {scaled}"
+            )
+        if limited > kpf:
+            raise ConsistencyError(
+                f"k={k}: binary optimum {limited} above the integer optimum {kpf}"
+            )
+        if lp_value is not None and kpf > lp_value:
+            raise ConsistencyError(
+                f"k={k}: integer optimum {kpf} above the relaxation value {lp_value}"
+            )
+        if perfect and kpf != scaled:
+            raise ConsistencyError(
+                f"k={k}: perfect neighbourhood matrix but the scaling identity "
+                f"failed: {kpf} != {scaled}"
+            )
+        reports.append(
+            ScalingReport(k, kpf, limited, l1, scaled, lp_value, perfect, kpf == scaled)
         )
-    if limited > kpf:
-        raise ConsistencyError(
-            f"binary optimum {limited} above the integer optimum {kpf}"
-        )
+    return tuple(reports)
 
-    lp_value = None
-    perfect = None
-    if g.n <= ODD_HOLE_NODE_CAP:
-        rep = perfection_report(g)
-        perfect = rep.neighbourhood_matrix_perfect
-        if rep.unit_relaxation is not None:
-            lp_value = k * rep.unit_relaxation
-            if kpf > lp_value:
-                raise ConsistencyError(
-                    f"integer optimum {kpf} above the relaxation value {lp_value}"
-                )
 
-    equality = kpf == scaled
-    if perfect and not equality:
-        raise ConsistencyError(
-            "perfect neighbourhood matrix but the scaling identity failed: "
-            f"{kpf} != {scaled}"
-        )
-    return ScalingReport(
-        k=k,
-        kpf_value=kpf,
-        limited_value=limited,
-        l1_value=l1,
-        k_times_l1=scaled,
-        lp_value=lp_value,
-        neighbourhood_perfect=perfect,
-        equality=equality,
-    )
+def check_scaling_identity(g: Graph, k: int) -> ScalingReport:
+    """``scaling_reports`` for one k; the perfection facts are skipped above
+    ``ODD_HOLE_NODE_CAP``."""
+    rep = perfection_report(g) if g.n <= ODD_HOLE_NODE_CAP else None
+    return scaling_reports(g, (k,), rep)[0]

@@ -24,7 +24,7 @@ from kpacking import (
     is_isomorphic,
     is_perfect_graph,
     is_perfect_matrix,
-    lp_relaxation_value,
+    lp_relaxation,
     perfection_report,
     polytope_vertices,
     solve_kpf,
@@ -217,13 +217,13 @@ def test_solver_oracle():
     failures = []
     for n in range(1, 6):
         for g in enumerate_connected_graphs(n):
-            base = lp_relaxation_value(g, 1)
+            base = lp_relaxation(g, 1)[0]
             for k in (1, 2, 3, 4):
                 fast = solve_kpf(g, k).optimum
                 slow = solve_kpf_bruteforce(g, k).optimum
                 if fast != slow:
                     failures.append(f"n={n} k={k} edges={g.edges()}: {fast} != {slow}")
-                if lp_relaxation_value(g, k) != k * base:
+                if lp_relaxation(g, k)[0] != k * base:
                     failures.append(f"n={n} k={k} edges={g.edges()}: relaxation not linear")
     conclude("solver-oracle", failures)
 

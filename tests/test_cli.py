@@ -1,8 +1,11 @@
+import dataclasses
 import json
 import os
 
 import pytest
 
+import kpacking.cli
+import kpacking.perfection
 import kpacking.solver
 from kpacking import (
     closed_neighbourhood_matrix,
@@ -15,6 +18,14 @@ from kpacking import (
     web,
 )
 from kpacking.cli import main
+
+SOLVE_KPF = kpacking.solver.solve_kpf
+
+
+def short_solve_kpf(g, k):
+    """solve_kpf with its optimum lowered by one, to force a scaling violation."""
+    res = SOLVE_KPF(g, k)
+    return dataclasses.replace(res, optimum=res.optimum - 1)
 
 
 def run(capsys, *argv):
@@ -74,6 +85,23 @@ class TestGen:
     def test_unknown_family(self, capsys):
         code, _, _ = run(capsys, "gen", "moebius", "5")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("gen", "web", "100000", "1"), ("gen", "clique_cycle", "256"),
+         ("analyze", "--family", "cycle", "100000")],
+        ids=["gen-web", "gen-clique-cycle", "analyze-family"],
+    )
+    def test_members_above_the_node_cap(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "capped at 1024 nodes" in err
+
+    def test_member_at_the_node_cap(self, capsys):
+        code, out, _ = run(capsys, "gen", "cycle", "1024")
+        assert code == 0
+        assert parse_graph(out) == cycle(1024)
 
 
 class TestSolve:
@@ -224,6 +252,13 @@ class TestAnalyze:
         second, _ = run_json(capsys, "analyze", octahedron, "--k", "2")
         assert first == second
 
+    def test_scaling_violation_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(kpacking.solver, "solve_kpf", short_solve_kpf)
+        code, out, err = run(capsys, "analyze", "--family", "wheel", "6", "--k", "2,3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: k=2: integer optimum")
+
 
 class TestVerify:
     def test_recognizers_pass_below_divergence(self, capsys):
@@ -248,6 +283,30 @@ class TestVerify:
     def test_scaling(self, capsys):
         code, out, _ = run(capsys, "verify", "scaling", "--max-n", "4", "--k", "2,3")
         assert code == 0
+
+    def test_scaling_builds_one_report_per_graph(self, capsys, monkeypatch):
+        calls = []
+        real = kpacking.perfection.perfection_report
+
+        def counted(g, *args, **kwargs):
+            calls.append(g)
+            return real(g, *args, **kwargs)
+
+        for module in (kpacking.cli, kpacking.solver):
+            monkeypatch.setattr(module, "perfection_report", counted)
+        code, out, _ = run(capsys, "verify", "scaling")
+        assert code == 0
+        assert "checked: 143 connected graphs with at most 6 nodes, k in {2,3,4}" in out
+        assert len(calls) == 143
+
+    def test_scaling_counterexample_names_k(self, capsys, monkeypatch):
+        monkeypatch.setattr(kpacking.solver, "solve_kpf", short_solve_kpf)
+        code, out, _ = run(capsys, "verify", "scaling", "--max-n", "3", "--k", "2")
+        assert code == 1
+        lines = [line for line in out.splitlines() if line.startswith("counterexample")]
+        assert len(lines) == 4
+        assert all(" k=2: " in line and " edges=[" in line for line in lines)
+        assert lines[0].startswith("counterexample: n=1 edges=[] k=2: ")
 
     def test_webs(self, capsys):
         code, out, _ = run(capsys, "verify", "webs", "--max-n", "8", "--k", "1,2")

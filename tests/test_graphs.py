@@ -22,15 +22,14 @@ from kpacking import (
     is_connected,
     is_isomorphic,
     maximal_cliques,
-    maximal_cliques_bruteforce,
     parse_graph,
     parse_matrix,
-    relabel,
     three_sun,
     universal_nodes,
     wheel,
 )
 
+from helpers import maximal_cliques_bruteforce, relabel
 from strategies import graphs
 
 
@@ -242,6 +241,39 @@ class TestMatrixText:
     def test_row_length_mismatch(self):
         with pytest.raises(ParseError, match="line 3"):
             parse_matrix("2 3\n101\n10\n")
+
+
+TOKENS = st.one_of(
+    st.integers(-2, 9).map(str),
+    st.sampled_from(["01", "10", "111", "#", "x", "1e3", "2_0", "\u0663"]),
+    st.text(max_size=3),
+)
+LINES = st.lists(st.lists(TOKENS, min_size=1, max_size=3).map(" ".join), max_size=6)
+
+
+def headed(count_first):
+    """Lines under a header that counts them, so parsing gets past the count."""
+    return st.tuples(LINES, st.integers(1, 6)).map(
+        lambda t: "\n".join(
+            [f"{len(t[0])} {t[1]}" if count_first else f"{t[1]} {len(t[0])}", *t[0]]
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "parse, kind, structured",
+    [(parse_graph, Graph, headed(False)), (parse_matrix, BinaryMatrix, headed(True))],
+    ids=["graph", "matrix"],
+)
+@given(data=st.data())
+@settings(max_examples=200)
+def test_arbitrary_text_parses_or_raises_a_library_error(parse, kind, structured, data):
+    text = data.draw(st.one_of(st.text(max_size=40), LINES.map("\n".join), structured))
+    try:
+        parsed = parse(text)
+    except (ParseError, CapExceededError):
+        return
+    assert isinstance(parsed, kind)
 
 
 class TestBinaryMatrix:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+import kpacking.perfection
 from kpacking import (
     BinaryMatrix,
     CapExceededError,
@@ -263,6 +264,14 @@ class TestPerfectionReport:
     def test_certificates_round_trip_keys(self):
         rep = perfection_report(pyramid(2))
         assert set(rep.certificates) == {"cliques", "pattern", "structural"}
+
+    def test_refuses_oversize_graphs_before_any_work(self, monkeypatch):
+        def fail(m):
+            raise AssertionError("the pattern recognizer ran")
+
+        monkeypatch.setattr(kpacking.perfection, "is_extended_clique_node_by_pattern", fail)
+        with pytest.raises(CapExceededError):
+            perfection_report(cycle(17))
 
 
 class TestRationalPoint:

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kpacking.recognition
 from kpacking import (
@@ -21,9 +22,35 @@ from kpacking import (
     web,
     wheel,
 )
-from kpacking.errors import CapExceededError
+from kpacking.errors import CapExceededError, KpackingError
 
 from strategies import binary_matrices, connected_graphs
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 8) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+SMALL_INTS = st.lists(st.integers(-1, 8), max_size=4)
+# objects close enough to real certificates to reach the recheck paths
+CERTIFICATE_LIKE = st.fixed_dictionaries(
+    {"method": st.sampled_from(["cliques", "pattern", "structural"]), "verdict": JSON},
+    optional={
+        "cover": st.lists(
+            st.fixed_dictionaries({"clique": SMALL_INTS, "row": st.integers(-1, 8)}),
+            max_size=3,
+        )
+        | JSON,
+        "uncovered_clique": SMALL_INTS | JSON,
+        "pattern_rows": SMALL_INTS | JSON,
+        "pattern_zeros": SMALL_INTS | JSON,
+        "pattern_columns": SMALL_INTS | JSON,
+        "obstruction_nodes": SMALL_INTS | JSON,
+        "obstruction_kind": st.sampled_from(["cycle4", "cycle5", "sun"]) | JSON,
+    },
+)
 
 
 def both_verdicts(m):
@@ -211,3 +238,21 @@ class TestCertificateRecheck:
         payload = is_extended_clique_node_by_cliques(m).to_payload()
         other = closed_neighbourhood_matrix(complete(6))
         assert not recheck_certificate(payload, matrix=other)
+
+    @given(
+        st.one_of(JSON, CERTIFICATE_LIKE),
+        st.one_of(
+            connected_graphs(max_nodes=6).map(lambda g: {"graph": g}),
+            connected_graphs(max_nodes=6).map(
+                lambda g: {"matrix": closed_neighbourhood_matrix(g)}
+            ),
+            binary_matrices().map(lambda m: {"matrix": m}),
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_any_json_payload_gets_an_answer_or_a_library_error(self, payload, instance):
+        try:
+            valid = recheck_certificate(payload, **instance)
+        except (KpackingError, ValueError):
+            return
+        assert valid is True or valid is False

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 import kpacking.solver
 from kpacking import (
     CapExceededError,
+    ConsistencyError,
     Graph,
     PackingFunction,
     check_scaling_identity,
@@ -15,7 +17,8 @@ from kpacking import (
     cycle,
     enumerate_connected_graphs,
     lp_relaxation,
-    lp_relaxation_value,
+    perfection_report,
+    scaling_reports,
     solve_kpf,
     solve_kpf_bruteforce,
     solve_limited_bruteforce,
@@ -185,21 +188,21 @@ class TestRelaxation:
         assert point.as_strings() == ("1/3",) * 4
 
     def test_sun(self):
-        assert lp_relaxation_value(three_sun(), 1) == Fraction(3, 2)
-        assert lp_relaxation_value(three_sun(), 3) == Fraction(9, 2)
+        assert lp_relaxation(three_sun(), 1)[0] == Fraction(3, 2)
+        assert lp_relaxation(three_sun(), 3)[0] == Fraction(9, 2)
 
     def test_complete(self):
-        assert lp_relaxation_value(complete(5), 4) == 4
+        assert lp_relaxation(complete(5), 4)[0] == 4
 
     @given(connected_graphs(max_nodes=6), st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
     def test_upper_bounds_the_integer_optimum(self, g, k):
-        assert solve_kpf(g, k).optimum <= lp_relaxation_value(g, k)
+        assert solve_kpf(g, k).optimum <= lp_relaxation(g, k)[0]
 
     @given(connected_graphs(max_nodes=6), st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
     def test_scales_linearly_in_k(self, g, k):
-        assert lp_relaxation_value(g, k) == k * lp_relaxation_value(g, 1)
+        assert lp_relaxation(g, k)[0] == k * lp_relaxation(g, 1)[0]
 
 
 class TestScalingReport:
@@ -222,7 +225,26 @@ class TestScalingReport:
         assert rep.neighbourhood_perfect is None
         assert rep.kpf_value >= rep.k_times_l1
 
+    def test_reports_over_ks_match_one_k_at_a_time(self):
+        ks = (1, 2, 3, 4)
+        for n in range(1, 7):
+            for g in enumerate_connected_graphs(n):
+                assert scaling_reports(g, ks, perfection_report(g)) == tuple(
+                    check_scaling_identity(g, k) for k in ks
+                )
+
+    def test_violation_names_its_k(self, monkeypatch):
+        real = kpacking.solver.solve_kpf
+
+        def short(g, k):
+            res = real(g, k)
+            return dataclasses.replace(res, optimum=res.optimum - 1)
+
+        monkeypatch.setattr(kpacking.solver, "solve_kpf", short)
+        with pytest.raises(ConsistencyError, match="^k=3: integer optimum 2 below"):
+            scaling_reports(wheel(6), (3,), perfection_report(wheel(6)))
+
     @given(connected_graphs(max_nodes=6), st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
     def test_relaxation_matches_the_reference(self, g, k):
-        assert check_scaling_identity(g, k).lp_value == lp_relaxation_value(g, k)
+        assert check_scaling_identity(g, k).lp_value == lp_relaxation(g, k)[0]
