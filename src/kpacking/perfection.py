@@ -108,17 +108,6 @@ def _eliminate(rows: list[list[int]], width: int) -> list[int]:
     return pivots
 
 
-def _solve_unit_sum_system(masks, cols):
-    """Solve sum(x_j for j in mask) == 1 for each mask; unknowns are ``cols``.
-    Returns col -> Fraction, or None when the square system is singular.
-    """
-    k = len(cols)
-    rows = [[(mk >> (c - 1)) & 1 for c in cols] + [1] for mk in masks]
-    if len(_eliminate(rows, k)) < k:
-        return None
-    return {c: Fraction(rows[i][k], rows[i][i]) for i, c in enumerate(cols)}
-
-
 def polytope_vertices(
     m: BinaryMatrix, max_cols: int = VERTEX_ENUMERATION_COLUMN_CAP
 ) -> tuple[RationalPoint, ...]:
@@ -126,37 +115,82 @@ def polytope_vertices(
 
     Every vertex splits its coordinates into ones (O), zeros and a strictly
     fractional part (F).  Feasibility forces O to meet each row at most once
-    and zeroes out every column sharing a row with O; the fractional part must
-    satisfy |F| independent tight rows, and a row whose restriction to F is a
-    strict subset of another's can never be tight (the superset row would
-    overflow).  So it suffices to scan the row-compatible one-sets O, the
-    fractional supports F over the remaining columns, and the full-rank
-    subsystems drawn from the maximal restricted rows.  Each candidate basis
-    pins a unique rational solution, checked strictly interior and feasible.
+    and zeroes out every column sharing a row with O.  A row that meets O
+    therefore lies inside those zeroed columns and never meets F, so the rows
+    binding the fractional part, and hence its solutions, depend on F alone.
+    F must satisfy |F| independent tight rows, and a row whose restriction to
+    F is a strict subset of another's can never be tight (the superset row
+    would overflow).  The enumeration makes two passes:
+
+    1. Each support F (|F| >= 2) is scanned once.  Every full-rank subsystem
+       drawn from its maximal restricted rows pins a unique rational solution,
+       read as integer numerators over one common denominator; the
+       strict-interior and feasibility checks run on those integers.
+    2. Each row-compatible one-set O gives its 0/1 point, plus one vertex per
+       solution of every support F that misses the columns O fixes.
     """
     if m.cols > max_cols:
         raise CapExceededError(f"vertex enumeration capped at {max_cols} columns")
     n = m.cols
-    row_masks = tuple(sorted(set(m.row_masks)))
+    row_masks = sorted(set(m.row_masks))
     conflict = [0] * n
     for mk in row_masks:
         for j in _bits(mk):
             conflict[j - 1] |= mk & ~_bit(j)
 
-    found: dict[tuple[Fraction, ...], RationalPoint] = {}
+    # pass 1: (F, its columns, its fractional solutions) per support with any
+    fractional: list[tuple[int, tuple[int, ...], list[list[Fraction]]]] = []
+    for fmask in range(3, 1 << n):
+        size = fmask.bit_count()
+        if size < 2:
+            continue
+        restricted = []
+        covered = 0
+        for mk in row_masks:
+            x = mk & fmask
+            if x == fmask:
+                # F itself would be the only maximal row
+                restricted = []
+                break
+            if x.bit_count() >= 2 and x not in restricted:
+                restricted.append(x)
+                covered |= x
+        if len(restricted) < size or covered != fmask:
+            continue
+        # by popcount descending, so each row comes after all of its supersets
+        restricted.sort(key=int.bit_count, reverse=True)
+        maximal: list[int] = []
+        for i, x in enumerate(restricted):
+            if len(maximal) + len(restricted) - i < size:
+                break
+            if not any(x & y == x for y in maximal):
+                maximal.append(x)
+        if len(maximal) < size:
+            continue
+        cols = tuple(_bits(fmask))
+        # per maximal row: its 0/1 coefficients on F and the positions it meets
+        coeffs = [[(x >> (c - 1)) & 1 for c in cols] for x in maximal]
+        meets = [[i for i, a in enumerate(row) if a] for row in coeffs]
+        solutions = set()
+        for basis in itertools.combinations(range(len(maximal)), size):
+            rows = [coeffs[b] + [1] for b in basis]
+            if len(_eliminate(rows, size)) < size:
+                continue
+            # row i now reads rows[i][i] * x_i = rows[i][size], in lowest terms
+            den = math.lcm(*(row[i] for i, row in enumerate(rows)))
+            nums = tuple(row[size] * (den // row[i]) for i, row in enumerate(rows))
+            if any(not 0 < a < den for a in nums):
+                continue
+            # the solution is positive, so rows inside a maximal row hold too
+            if any(sum(nums[i] for i in at) > den for at in meets):
+                continue
+            solutions.add((nums, den))
+        if solutions:
+            points = [[Fraction(a, den) for a in nums] for nums, den in solutions]
+            fractional.append((fmask, cols, points))
 
-    def record(ones: int, frac: dict[int, Fraction] | None) -> None:
-        coords = []
-        for j in range(1, n + 1):
-            if ones & _bit(j):
-                coords.append(Fraction(1))
-            elif frac and j in frac:
-                coords.append(frac[j])
-            else:
-                coords.append(Fraction(0))
-        key = tuple(coords)
-        if key not in found:
-            found[key] = RationalPoint(key)
+    zero, one = Fraction(0), Fraction(1)
+    found: list[tuple[Fraction, ...]] = []
 
     def one_sets(start: int, chosen: int):
         yield chosen
@@ -164,52 +198,26 @@ def polytope_vertices(
             if not conflict[j - 1] & chosen:
                 yield from one_sets(j + 1, chosen | _bit(j))
 
+    # pass 2: every vertex is one one-set plus at most one solution
     for ones in one_sets(1, 0):
-        record(ones, None)
-        zero_forced = 0
-        for mk in row_masks:
-            if mk & ones:
-                zero_forced |= mk
-        candidates = [
-            j for j in range(1, n + 1) if not (ones | zero_forced) & _bit(j)
-        ]
-        for size in range(2, len(candidates) + 1):
-            for fsub in itertools.combinations(candidates, size):
-                fmask = 0
-                for j in fsub:
-                    fmask |= _bit(j)
-                restricted = sorted(
-                    {
-                        mk & fmask
-                        for mk in row_masks
-                        if not mk & ones and (mk & fmask).bit_count() >= 2
-                    }
-                )
-                covered = 0
-                for mk in restricted:
-                    covered |= mk
-                if covered != fmask:
-                    continue
-                maximal = [
-                    x
-                    for x in restricted
-                    if not any(x != y and x & y == x for y in restricted)
-                ]
-                if len(maximal) < size:
-                    continue
-                for basis in itertools.combinations(maximal, size):
-                    sol = _solve_unit_sum_system(basis, fsub)
-                    if sol is None:
-                        continue
-                    if any(not 0 < sol[j] < 1 for j in fsub):
-                        continue
-                    if any(
-                        sum(sol[j] for j in _bits(mk)) > 1 for mk in restricted
-                    ):
-                        continue
-                    record(ones, sol)
+        base = [zero] * n
+        blocked = ones
+        for j in _bits(ones):
+            base[j - 1] = one
+            blocked |= conflict[j - 1]
+        found.append(tuple(base))
+        for fmask, cols, points in fractional:
+            if fmask & blocked:
+                continue
+            for coords in points:
+                for j, c in zip(cols, coords):
+                    base[j - 1] = c
+                found.append(tuple(base))
+            for j in cols:
+                base[j - 1] = zero
 
-    return tuple(found[key] for key in sorted(found))
+    found.sort()
+    return tuple(RationalPoint(coords) for coords in found)
 
 
 def tight_constraint_rank(m: BinaryMatrix, point: RationalPoint) -> int:

@@ -29,18 +29,22 @@ from .graphs import (
     Graph,
     _bit,
     _bits,
+    _connected_within,
     _mask_of,
     closed_neighbourhood_matrix,
     find_induced_cycle,
     induced_subgraph,
-    is_connected,
     is_isomorphic,
     maximal_cliques,
 )
 
 TOTALLY_BALANCED_COLUMN_CAP = 16
-# the screen tries about n**6 / 720 induced subgraphs: 3.4 s at n = 24
+# the screen tries about n**6 / 720 node subsets: 1.0 s at n = 24 (cycle(24),
+# 2-vCPU x86-64 VM, Python 3.11)
 STRUCTURAL_SCREEN_NODE_CAP = 24
+# row triples visited plus extension checks made by one pattern search; a run
+# stopped by it ends in 6.5-8.5 s on the VM above (random dense 64 x 64 matrix)
+PATTERN_WORK_CAP = 4 * 10**6
 
 
 @dataclass(frozen=True)
@@ -132,6 +136,21 @@ def is_extended_clique_node_by_cliques(m: BinaryMatrix) -> RecognitionCertificat
     return RecognitionCertificate("cliques", True, cover=tuple(cover))
 
 
+def _lex_less(x: int, y: int) -> bool:
+    """Whether the ascending labels of mask ``x`` come lexicographically
+    before those of mask ``y``.  Below the lowest label in exactly one of
+    them the two agree; the mask holding that label wins unless the other
+    one ends there.
+    """
+    diff = x ^ y
+    low = diff & -diff
+    return y >= low if x & low else x < low
+
+
+def _pattern_work_exceeded(cap: int) -> CapExceededError:
+    return CapExceededError(f"pattern recognizer did more than {cap} units of work")
+
+
 def is_extended_clique_node_by_pattern(m: BinaryMatrix) -> RecognitionCertificate:
     """Accept iff no 3-row forbidden pattern exists.
 
@@ -141,38 +160,53 @@ def is_extended_clique_node_by_pattern(m: BinaryMatrix) -> RecognitionCertificat
     passes it for every sub-extension too, so checking maximal extensions only
     is exhaustive; a missing covering row is itself the violation witness.
     Negative witness: minimal (column set, row triple) in lexicographic order.
+
+    Raises ``CapExceededError`` once the row triples visited plus the
+    extension checks made exceed ``PATTERN_WORK_CAP``.
     """
     _check_recognizer_input(m)
+    work_cap = PATTERN_WORK_CAP
+    work = 0
     rows = m.row_masks
     best = None
-    for a, b, c in itertools.combinations(range(m.rows), 3):
-        ra, rb, rc = rows[a], rows[b], rows[c]
-        za = ~ra & rb & rc
-        zb = ra & ~rb & rc
-        zc = ra & rb & ~rc
-        if not (za and zb and zc):
-            continue
-        common = ra & rb & rc
-        carriers = [r for r in rows if r & common == common]
-        for ca in _bits(za):
-            for cb in _bits(zb):
-                pair = _bit(ca) | _bit(cb)
-                carriers2 = [r for r in carriers if r & pair == pair]
-                for cc in _bits(zc):
-                    ext = common | pair | _bit(cc)
-                    if any(r & ext == ext for r in carriers2):
-                        continue
-                    cols = tuple(_bits(ext))
-                    key = (cols, (a + 1, b + 1, c + 1))
-                    if best is None or key < best[0]:
-                        best = (key, (ca, cb, cc))
+    for a, ra in enumerate(rows):
+        for b in range(a + 1, m.rows):
+            rb = rows[b]
+            # the row triples (a, b, c) about to be visited
+            work += m.rows - b - 1
+            if work > work_cap:
+                raise _pattern_work_exceeded(work_cap)
+            only_b, only_a, both = ~ra & rb, ra & ~rb, ra & rb
+            for c in range(b + 1, m.rows):
+                rc = rows[c]
+                za = only_b & rc
+                zb = only_a & rc
+                zc = both & ~rc
+                if not (za and zb and zc):
+                    continue
+                work += za.bit_count() * zb.bit_count() * zc.bit_count()
+                if work > work_cap:
+                    raise _pattern_work_exceeded(work_cap)
+                common = both & rc
+                carriers = [r for r in rows if r & common == common]
+                for ca in _bits(za):
+                    for cb in _bits(zb):
+                        pair = _bit(ca) | _bit(cb)
+                        carriers2 = [r for r in carriers if r & pair == pair]
+                        for cc in _bits(zc):
+                            ext = common | pair | _bit(cc)
+                            if any(r & ext == ext for r in carriers2):
+                                continue
+                            # a later row triple never beats an equal column set
+                            if best is None or _lex_less(ext, best[0]):
+                                best = (ext, (a + 1, b + 1, c + 1), (ca, cb, cc))
     if best is None:
         return RecognitionCertificate("pattern", True)
-    (cols, row_triple), zeros = best
+    ext, row_triple, zeros = best
     return RecognitionCertificate(
         "pattern",
         False,
-        pattern_columns=cols,
+        pattern_columns=tuple(_bits(ext)),
         pattern_rows=row_triple,
         pattern_zeros=zeros,
     )
@@ -181,11 +215,18 @@ def is_extended_clique_node_by_pattern(m: BinaryMatrix) -> RecognitionCertificat
 _OBSTRUCTION_SIZES = (4, 5, 6)
 
 
-def _classify_obstruction(sub: Graph) -> str | None:
-    degs = sub.degree_sequence()
+def _obstruction_kind(g: Graph, mask: int) -> str | None:
+    """Kind of the subgraph that ``mask`` induces in ``g``: "cycle<size>" for
+    an induced cycle, "sun" for a 3-sun, else None.
+    """
+    degs = [(g.adj[v - 1] & mask).bit_count() for v in _bits(mask)]
     if all(d == 2 for d in degs):
-        return f"cycle{sub.n}" if is_connected(sub) else None
-    if sub.n == 6 and degs == (2, 2, 2, 4, 4, 4) and is_isomorphic(sub, _sun()):
+        return f"cycle{len(degs)}" if _connected_within(g, mask) else None
+    if (
+        len(degs) == 6
+        and sorted(degs) == [2, 2, 2, 4, 4, 4]
+        and is_isomorphic(induced_subgraph(g, _bits(mask)), _sun())
+    ):
         return "sun"
     return None
 
@@ -215,15 +256,17 @@ def find_undominated_obstruction(g: Graph) -> RecognitionCertificate:
         raise CapExceededError(
             f"structural screen capped at {STRUCTURAL_SCREEN_NODE_CAP} nodes"
         )
+    singles = [_bit(v) for v in g.nodes()]
     dominated = []
     for size in _OBSTRUCTION_SIZES:
         if size > g.n:
             break
-        for subset in itertools.combinations(g.nodes(), size):
-            kind = _classify_obstruction(induced_subgraph(g, subset))
+        for bits in itertools.combinations(singles, size):
+            mask = sum(bits)
+            kind = _obstruction_kind(g, mask)
             if kind is None:
                 continue
-            mask = _mask_of(subset)
+            subset = tuple(_bits(mask))
             dom = next(
                 (
                     v
@@ -370,10 +413,10 @@ def _recheck_structural(payload: dict, g: Graph, verdict: bool) -> bool:
     nodes = tuple(payload.get("obstruction_nodes", ()))
     if not nodes or any(not 1 <= v <= g.n for v in nodes):
         return False
-    kind = _classify_obstruction(induced_subgraph(g, nodes))
+    mask = _mask_of(nodes)
+    kind = _obstruction_kind(g, mask)
     if kind is None or kind != payload.get("obstruction_kind"):
         return False
-    mask = _mask_of(nodes)
     return not any(
         not mask & _bit(v) and g.adj[v - 1] & mask == mask for v in g.nodes()
     )

@@ -2,7 +2,7 @@
 
 import itertools
 
-from kpacking import Graph
+from kpacking import Graph, induced_subgraph, is_connected, is_isomorphic, three_sun
 
 
 def relabel(g: Graph, mapping: dict[int, int]) -> Graph:
@@ -28,3 +28,35 @@ def maximal_cliques_bruteforce(g: Graph) -> tuple[tuple[int, ...], ...]:
                 continue
             cliques.append(members)
     return tuple(sorted(cliques))
+
+
+def reference_screen(g: Graph):
+    """Reference structural screen: classify every 4-, 5- and 6-node subset by
+    building its induced subgraph, then its degree sequence, connectivity and
+    an isomorphism test against the 3-sun.
+
+    Returns (verdict, obstruction kind, obstruction nodes, dominated) in the
+    shape of the library's structural certificate.
+    """
+    sun = three_sun()
+    dominated = []
+    for size in (4, 5, 6):
+        for subset in itertools.combinations(g.nodes(), size):
+            sub = induced_subgraph(g, subset)
+            degs = sub.degree_sequence()
+            if all(d == 2 for d in degs):
+                if not is_connected(sub):
+                    continue
+                kind = f"cycle{size}"
+            elif degs == (2, 2, 2, 4, 4, 4) and is_isomorphic(sub, sun):
+                kind = "sun"
+            else:
+                continue
+            outside = [v for v in g.nodes() if v not in subset]
+            dom = next(
+                (v for v in outside if all(g.has_edge(v, u) for u in subset)), None
+            )
+            if dom is None:
+                return False, kind, subset, None
+            dominated.append((kind, subset, dom))
+    return True, None, None, tuple(dominated)

@@ -48,3 +48,24 @@ def binary_matrices(draw, max_rows=5, max_cols=5):
         masks.append(missing)
     lists = [[(m >> j) & 1 for j in range(cols)] for m in masks]
     return BinaryMatrix.from_rows(lists)
+
+
+@st.composite
+def joined_graphs(draw, min_nodes=7, max_nodes=12):
+    """Connected graph made of small connected pieces, each joined to the next
+    by one edge.  Pieces are dense more often than whole random graphs are, so
+    disjoint small cycles and cliques with no edge between them are common.
+    """
+    n = draw(st.integers(min_nodes, max_nodes))
+    edges = []
+    start = 0
+    while start < n:
+        size = draw(st.integers(1, min(6, n - start)))
+        piece = draw(connected_graphs(min_nodes=size, max_nodes=size))
+        edges += [(u + start, v + start) for u, v in piece.edges()]
+        if start:
+            u = draw(st.integers(1, start))
+            v = draw(st.integers(start + 1, start + size))
+            edges.append((u, v))
+        start += size
+    return Graph.from_edges(n, edges)

@@ -6,6 +6,7 @@ import pytest
 
 import kpacking.cli
 import kpacking.perfection
+import kpacking.recognition
 import kpacking.solver
 from kpacking import (
     closed_neighbourhood_matrix,
@@ -194,6 +195,18 @@ class TestRecognize:
         assert code == 3
         assert "structural screen capped" in err
         payload, _ = run_json(capsys, "recognize", "--graph", str(path), "--method", "cliques")
+        assert payload["methods"]["cliques"]["verdict"] is True
+
+    def test_pattern_work_cap_exit(self, capsys, tmp_path, monkeypatch):
+        # N[C16] costs the pattern search 560 units: its 560 row triples
+        monkeypatch.setattr(kpacking.recognition, "PATTERN_WORK_CAP", 559)
+        path = tmp_path / "c16.matrix"
+        path.write_text(format_matrix(closed_neighbourhood_matrix(cycle(16))))
+        code, out, err = run(capsys, "recognize", "--matrix", str(path), "--method", "pattern")
+        assert code == 3
+        assert out == ""
+        assert "pattern recognizer did more than 559" in err
+        payload, _ = run_json(capsys, "recognize", "--matrix", str(path), "--method", "cliques")
         assert payload["methods"]["cliques"]["verdict"] is True
 
     def test_graph_and_matrix_are_exclusive(self, capsys, square):

@@ -33,63 +33,60 @@ from kpacking import (
 from strategies import binary_matrices, connected_graphs
 
 
+def bareiss_determinant(a):
+    """Determinant of a square integer matrix by fraction-free elimination."""
+    a = [list(row) for row in a]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
 def brute_vertices(m):
     """Reference vertex enumeration for {x in [0,1]^n : Mx <= 1}.
 
     Solves every n-subset of the full constraint system (rows plus both
-    box bounds per coordinate) and keeps feasible solutions. Exponential,
-    so only usable for a handful of columns.
+    box bounds per coordinate) by Cramer's rule and keeps feasible
+    solutions.  Subsets that pin one coordinate to both bounds are singular
+    and skipped.  Exponential, so only usable for a handful of columns.
     """
     n = m.cols
     rows = [[m.entry(i, j) for j in range(1, n + 1)] for i in range(1, m.rows + 1)]
-    system = [(row, Fraction(1)) for row in rows]
-    for j in range(n):
-        lower = [0] * n
-        lower[j] = 1
-        system.append((lower, Fraction(0)))  # x_j = 0
-        upper = [0] * n
-        upper[j] = 1
-        system.append((upper, Fraction(1)))  # x_j = 1
-
-    def solve(subset):
-        a = [[Fraction(c) for c in system[i][0]] + [system[i][1]] for i in subset]
-        col = 0
-        pivots = []
-        for r in range(len(a)):
-            pivot = next((i for i in range(r, len(a)) if any(a[i][c] for c in range(col, n))), None)
-            if pivot is None:
-                break
-            c = next(c for c in range(col, n) if any(a[i][c] for i in range(r, len(a))))
-            i = next(i for i in range(r, len(a)) if a[i][c])
-            a[r], a[i] = a[i], a[r]
-            inv = 1 / a[r][c]
-            a[r] = [v * inv for v in a[r]]
-            for i in range(len(a)):
-                if i != r and a[i][c]:
-                    f = a[i][c]
-                    a[i] = [v - f * w for v, w in zip(a[i], a[r])]
-            pivots.append(c)
-            col = c + 1
-        if len(pivots) < n:
-            return None
-        x = [Fraction(0)] * n
-        for r, c in enumerate(pivots):
-            x[c] = a[r][n]
-        for r in range(len(pivots), len(a)):
-            if a[r][n] != 0:
-                return None
-        return tuple(x)
-
+    unit = [[int(i == j) for i in range(n)] for j in range(n)]
     found = set()
-    for subset in itertools.combinations(range(len(system)), n):
-        x = solve(subset)
-        if x is None:
-            continue
-        if any(v < 0 or v > 1 for v in x):
-            continue
-        if any(sum(c * v for c, v in zip(row, x)) > 1 for row in rows):
-            continue
-        found.add(x)
+    for k in range(min(len(rows), n) + 1):
+        for chosen in itertools.combinations(rows, k):
+            for pinned in itertools.combinations(range(n), n - k):
+                for bounds in itertools.product((0, 1), repeat=n - k):
+                    a = list(chosen) + [unit[j] for j in pinned]
+                    b = [1] * k + list(bounds)
+                    det = bareiss_determinant(a)
+                    if det == 0:
+                        continue
+                    x = tuple(
+                        Fraction(
+                            bareiss_determinant(
+                                [row[:i] + [rhs] + row[i + 1:] for row, rhs in zip(a, b)]
+                            ),
+                            det,
+                        )
+                        for i in range(n)
+                    )
+                    if any(v < 0 or v > 1 for v in x):
+                        continue
+                    if any(sum(c * v for c, v in zip(row, x)) > 1 for row in rows):
+                        continue
+                    found.add(x)
     return sorted(found)
 
 

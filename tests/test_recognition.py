@@ -1,10 +1,11 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kpacking.recognition
 from kpacking import (
     BinaryMatrix,
+    Graph,
     ZeroColumnError,
     clique_graph,
     closed_neighbourhood_matrix,
@@ -23,8 +24,10 @@ from kpacking import (
     wheel,
 )
 from kpacking.errors import CapExceededError, KpackingError
+from kpacking.graphs import _bits
 
-from strategies import binary_matrices, connected_graphs
+from helpers import reference_screen
+from strategies import binary_matrices, connected_graphs, joined_graphs
 
 
 JSON = st.recursive(
@@ -134,6 +137,30 @@ class TestExactRecognizers:
         with pytest.raises(ZeroColumnError):
             is_extended_clique_node_by_pattern(BinaryMatrix.from_rows([[1, 0], [1, 0]]))
 
+    def test_pattern_witness_order_compares_column_masks(self):
+        # the minimal witness is chosen on masks, in the order of label tuples
+        lex_less = kpacking.recognition._lex_less
+        for x in range(1, 64):
+            for y in range(1, 64):
+                if x != y:
+                    assert lex_less(x, y) == (tuple(_bits(x)) < tuple(_bits(y)))
+
+    @pytest.mark.parametrize(
+        "g, work",
+        # N[C16]: 560 row triples, none with three zero columns; the
+        # octahedron and the 3-sun add extension checks to their 20 triples
+        [(cycle(16), 560), (web(6, 2), 40), (three_sun(), 22)],
+    )
+    def test_pattern_work_cap(self, monkeypatch, g, work):
+        m = closed_neighbourhood_matrix(g)
+        monkeypatch.setattr(kpacking.recognition, "PATTERN_WORK_CAP", work)
+        answer = is_extended_clique_node_by_pattern(m)
+        monkeypatch.setattr(kpacking.recognition, "PATTERN_WORK_CAP", work - 1)
+        with pytest.raises(CapExceededError, match=f"more than {work - 1} units"):
+            is_extended_clique_node_by_pattern(m)
+        monkeypatch.undo()
+        assert is_extended_clique_node_by_pattern(m) == answer
+
     @given(connected_graphs(max_nodes=6))
     @settings(max_examples=150, deadline=None)
     def test_methods_agree_on_neighbourhood_matrices(self, g):
@@ -184,6 +211,24 @@ class TestStructuralScreen:
             for g in enumerate_connected_graphs(n):
                 if both_verdicts(closed_neighbourhood_matrix(g)):
                     assert find_undominated_obstruction(g).verdict, list(g.edges())
+
+    @given(
+        st.one_of(
+            connected_graphs(min_nodes=7, max_nodes=12),
+            joined_graphs(min_nodes=7, max_nodes=12),
+        )
+    )
+    # two triangles joined by a path: an induced 2-regular 6-set that is no cycle
+    @example(
+        Graph.from_edges(
+            7, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6), (3, 7), (4, 7)]
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_screen_matches_the_reference_screen(self, g):
+        cert = find_undominated_obstruction(g)
+        got = (cert.verdict, cert.obstruction_kind, cert.obstruction_nodes, cert.dominated)
+        assert got == reference_screen(g)
 
     def test_screen_node_cap(self, monkeypatch):
         monkeypatch.setattr(kpacking.recognition, "STRUCTURAL_SCREEN_NODE_CAP", 6)
