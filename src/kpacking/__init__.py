@@ -33,25 +33,20 @@ from .graphs import (
     format_matrix,
     induced_cycles,
     induced_subgraph,
-    is_chordal,
     is_connected,
     is_isomorphic,
     maximal_cliques,
     parse_graph,
     parse_matrix,
-    universal_nodes,
 )
 from .perfection import (
-    InheritedImperfectionReport,
     PerfectionReport,
     RationalPoint,
-    check_inherited_imperfection,
     find_odd_hole,
     is_perfect_graph,
     is_perfect_matrix,
     perfection_report,
     polytope_vertices,
-    tight_constraint_rank,
 )
 from .recognition import (
     RecognitionCertificate,
@@ -59,7 +54,6 @@ from .recognition import (
     find_undominated_obstruction,
     is_extended_clique_node_by_cliques,
     is_extended_clique_node_by_pattern,
-    is_totally_balanced,
     recheck_certificate,
 )
 from .solver import (

@@ -25,7 +25,14 @@ from .errors import (
     ParseError,
     ZeroColumnError,
 )
-from .families import FAMILIES, FamilySpec, cycle, enumerate_connected_graphs, web
+from .families import (
+    FAMILIES,
+    KNOWN_CENSUS_COUNTS,
+    FamilySpec,
+    cycle,
+    enumerate_connected_graphs,
+    web,
+)
 from .graphs import (
     BinaryMatrix,
     Graph,
@@ -38,7 +45,6 @@ from .graphs import (
     parse_matrix,
 )
 from .perfection import (
-    VERTEX_ENUMERATION_COLUMN_CAP,
     PerfectionReport,
     is_perfect_matrix,
     perfection_report,
@@ -61,8 +67,6 @@ from .solver import (
 )
 
 SCHEMA = 1
-
-KNOWN_CENSUS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
 
 def _rat(x: Fraction) -> str:
@@ -228,8 +232,8 @@ def _cmd_recognize(args) -> int:
 # perfection
 
 
-def _vertex_rows(m: BinaryMatrix, cap: int) -> list[list[str]]:
-    return [list(p.as_strings()) for p in polytope_vertices(m, cap)]
+def _vertex_rows(m: BinaryMatrix) -> list[list[str]]:
+    return [list(p.as_strings()) for p in polytope_vertices(m)]
 
 
 def _verdict_sections(rep: PerfectionReport) -> dict:
@@ -258,20 +262,19 @@ def _verdict_sections(rep: PerfectionReport) -> dict:
 
 
 def _cmd_perfection(args) -> int:
-    cap = args.max_vertex_dim
     if args.graph is not None:
         g, descriptor = _load_graph(args.graph)
         report = {
             "schema": SCHEMA,
             "command": "perfection",
             "input": descriptor,
-            **_verdict_sections(perfection_report(g, vertex_cap=cap)),
+            **_verdict_sections(perfection_report(g)),
         }
         if args.emit_vertices:
-            report["vertices"] = _vertex_rows(closed_neighbourhood_matrix(g), cap)
+            report["vertices"] = _vertex_rows(closed_neighbourhood_matrix(g))
     else:
         m, descriptor = _load_matrix(args.matrix)
-        verdict, fractional = is_perfect_matrix(m, cap)
+        verdict, fractional = is_perfect_matrix(m)
         report = {
             "schema": SCHEMA,
             "command": "perfection",
@@ -282,7 +285,7 @@ def _cmd_perfection(args) -> int:
             ),
         }
         if args.emit_vertices:
-            report["vertices"] = _vertex_rows(m, cap)
+            report["vertices"] = _vertex_rows(m)
     _write(_dump(report), args.output)
     return 0
 
@@ -542,7 +545,6 @@ def _build_parser() -> argparse.ArgumentParser:
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--graph")
     grp.add_argument("--matrix")
-    p.add_argument("--max-vertex-dim", type=int, default=VERTEX_ENUMERATION_COLUMN_CAP)
     p.add_argument("--emit-vertices", action="store_true")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_perfection)

@@ -117,6 +117,10 @@ def clique_cycle_family(k: int) -> Graph:
 # ---------------------------------------------------------------------------
 # connected graph census
 
+# isomorphism classes of connected graphs per node count (OEIS A001349); its
+# keys are the node counts the census supports
+KNOWN_CENSUS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+
 
 def _invariant_key(g: Graph):
     profiles = sorted(_profiles(g))
@@ -153,8 +157,10 @@ def _census(n: int) -> tuple[Graph, ...]:
 
 def enumerate_connected_graphs(n: int):
     """One representative per isomorphism class of connected graphs on n nodes."""
-    if not 1 <= n <= 8:
-        raise FamilyParameterError("census supports 1 <= n <= 8")
+    if n not in KNOWN_CENSUS_COUNTS:
+        raise FamilyParameterError(
+            f"census supports 1 <= n <= {max(KNOWN_CENSUS_COUNTS)}"
+        )
     yield from _census(n)
 
 

@@ -23,7 +23,6 @@ from .graphs import (
     closed_neighbourhood_matrix,
     complement,
     find_induced_cycle,
-    induced_subgraph,
 )
 from .recognition import (
     RecognitionCertificate,
@@ -108,9 +107,7 @@ def _eliminate(rows: list[list[int]], width: int) -> list[int]:
     return pivots
 
 
-def polytope_vertices(
-    m: BinaryMatrix, max_cols: int = VERTEX_ENUMERATION_COLUMN_CAP
-) -> tuple[RationalPoint, ...]:
+def polytope_vertices(m: BinaryMatrix) -> tuple[RationalPoint, ...]:
     """Exact vertex set of {x in [0,1]^n : Mx <= 1}, sorted coordinatewise.
 
     Every vertex splits its coordinates into ones (O), zeros and a strictly
@@ -128,9 +125,13 @@ def polytope_vertices(
        strict-interior and feasibility checks run on those integers.
     2. Each row-compatible one-set O gives its 0/1 point, plus one vertex per
        solution of every support F that misses the columns O fixes.
+
+    Raises ``CapExceededError`` above ``VERTEX_ENUMERATION_COLUMN_CAP``
+    columns, since pass 1 scans all 2**n supports.
     """
-    if m.cols > max_cols:
-        raise CapExceededError(f"vertex enumeration capped at {max_cols} columns")
+    cap = VERTEX_ENUMERATION_COLUMN_CAP
+    if m.cols > cap:
+        raise CapExceededError(f"vertex enumeration capped at {cap} columns")
     n = m.cols
     row_masks = sorted(set(m.row_masks))
     conflict = [0] * n
@@ -220,33 +221,13 @@ def polytope_vertices(
     return tuple(RationalPoint(coords) for coords in found)
 
 
-def tight_constraint_rank(m: BinaryMatrix, point: RationalPoint) -> int:
-    """Rank of the constraints the point satisfies with equality (rows at 1,
-    coordinates at either bound).  Vertices have rank equal to the dimension.
-    """
-    n = m.cols
-    rows = [
-        [(mk >> j) & 1 for j in range(n)]
-        for mk in m.row_masks
-        if sum(point.coords[j - 1] for j in _bits(mk)) == 1
-    ]
-    rows += [
-        [int(i == j) for i in range(n)]
-        for j, c in enumerate(point.coords)
-        if c == 0 or c == 1
-    ]
-    return len(_eliminate(rows, n))
-
-
-def is_perfect_matrix(
-    m: BinaryMatrix, max_cols: int = VERTEX_ENUMERATION_COLUMN_CAP
-):
+def is_perfect_matrix(m: BinaryMatrix):
     """(verdict, witness): true iff every vertex of the polytope is a 0/1
     point; otherwise the first fractional vertex in sorted order is returned.
     """
     if m.has_zero_column():
         raise ZeroColumnError("matrix perfection undefined with a zero column")
-    for point in polytope_vertices(m, max_cols):
+    for point in polytope_vertices(m):
         if not point.is_integral():
             return False, point
     return True, None
@@ -282,9 +263,7 @@ class PerfectionReport:
     certificates: dict[str, RecognitionCertificate]
 
 
-def perfection_report(
-    g: Graph, vertex_cap: int = VERTEX_ENUMERATION_COLUMN_CAP
-) -> PerfectionReport:
+def perfection_report(g: Graph) -> PerfectionReport:
     """Evaluate every verdict path on N[g] and cross-check them.
 
     The two exact recognizers must agree, and when the polytope check runs it
@@ -313,8 +292,8 @@ def perfection_report(
     matrix_verdict = None
     fractional = None
     unit_relaxation = None
-    if g.n <= vertex_cap:
-        vertices = polytope_vertices(m, vertex_cap)
+    if g.n <= VERTEX_ENUMERATION_COLUMN_CAP:
+        vertices = polytope_vertices(m)
         fractional = next((p for p in vertices if not p.is_integral()), None)
         matrix_verdict = fractional is None
         unit_relaxation = max(p.coordinate_sum() for p in vertices)
@@ -339,60 +318,4 @@ def perfection_report(
             "pattern": by_pattern,
             "structural": structural,
         },
-    )
-
-
-# ---------------------------------------------------------------------------
-# imperfection inherited from an induced subgraph
-
-
-@dataclass(frozen=True)
-class InheritedImperfectionReport:
-    """Empirical check that an imperfect-clique-graph subgraph, suitably
-    dominated, forces the whole graph's clique graph to be imperfect.
-
-    The containment hypothesis has two readings that swap the roles of the
-    subgraph and its complement; both are evaluated (open neighbourhoods in
-    the ambient graph, containment not required strict) and divergences are
-    flagged rather than resolved.
-    """
-
-    subset: tuple[int, ...]
-    applicable: bool
-    hypothesis_holds: bool
-    statement_reading_holds: bool
-    readings_diverge: bool
-    clique_graph_imperfect: bool
-    conclusion_verified: bool
-
-
-def check_inherited_imperfection(g: Graph, sub) -> InheritedImperfectionReport:
-    subset = tuple(sorted(set(sub)))
-    inside = induced_subgraph(g, subset)
-    sub_gq = clique_graph(closed_neighbourhood_matrix(inside))
-    applicable = not is_perfect_graph(sub_gq)[0]
-
-    submask = 0
-    for v in subset:
-        submask |= _bit(v)
-    outside = [v for v in g.nodes() if not submask & _bit(v)]
-
-    hypothesis = all(
-        any(g.adj[v - 1] & ~g.adj[w - 1] == 0 for w in subset) for v in outside
-    )
-    statement = all(
-        any(g.adj[v - 1] & ~g.adj[w - 1] == 0 for w in outside) for v in subset
-    )
-
-    whole_gq = clique_graph(closed_neighbourhood_matrix(g))
-    imperfect = not is_perfect_graph(whole_gq)[0]
-
-    return InheritedImperfectionReport(
-        subset=subset,
-        applicable=applicable,
-        hypothesis_holds=hypothesis,
-        statement_reading_holds=statement,
-        readings_diverge=hypothesis != statement,
-        clique_graph_imperfect=imperfect,
-        conclusion_verified=(not (applicable and hypothesis)) or imperfect,
     )

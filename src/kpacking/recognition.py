@@ -32,13 +32,11 @@ from .graphs import (
     _connected_within,
     _mask_of,
     closed_neighbourhood_matrix,
-    find_induced_cycle,
     induced_subgraph,
     is_isomorphic,
     maximal_cliques,
 )
 
-TOTALLY_BALANCED_COLUMN_CAP = 16
 # the screen tries about n**6 / 720 node subsets: 1.0 s at n = 24 (cycle(24),
 # 2-vCPU x86-64 VM, Python 3.11)
 STRUCTURAL_SCREEN_NODE_CAP = 24
@@ -121,9 +119,8 @@ def is_extended_clique_node_by_cliques(m: BinaryMatrix) -> RecognitionCertificat
     gq = clique_graph(m)
     for i, mask in enumerate(m.row_masks, start=1):
         # holds by construction of gq; a failure would mean a bug here
-        for u, v in itertools.combinations(_bits(mask), 2):
-            if not gq.has_edge(u, v):
-                raise ConsistencyError(f"row {i} support is not a clique")
+        if any(mask & ~_bit(j) & ~gq.adj[j - 1] for j in _bits(mask)):
+            raise ConsistencyError(f"row {i} support is not a clique")
     support_row = {}
     for i, mask in enumerate(m.row_masks, start=1):
         support_row.setdefault(mask, i)
@@ -284,24 +281,6 @@ def find_undominated_obstruction(g: Graph) -> RecognitionCertificate:
                 )
             dominated.append((kind, subset, dom))
     return RecognitionCertificate("structural", True, dominated=tuple(dominated))
-
-
-def is_totally_balanced(m: BinaryMatrix) -> bool:
-    """True iff no row/column submatrix is the node-edge incidence matrix of a
-    cycle of length >= 3; equivalently the bipartite row/column incidence graph
-    has no induced cycle of length >= 6.
-    """
-    if m.cols > TOTALLY_BALANCED_COLUMN_CAP:
-        raise CapExceededError(
-            f"total balancedness capped at {TOTALLY_BALANCED_COLUMN_CAP} columns"
-        )
-    edges = [
-        (i, m.rows + j)
-        for i in range(1, m.rows + 1)
-        for j in m.row_support(i)
-    ]
-    bip = Graph.from_edges(m.rows + m.cols, edges)
-    return find_induced_cycle(bip, min_length=6) is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,22 @@
-"""Reference helpers that only the tests use."""
+"""Reference helpers and oracles that only the tests use."""
 
 import itertools
+from fractions import Fraction
 
-from kpacking import Graph, induced_subgraph, is_connected, is_isomorphic, three_sun
+from kpacking import (
+    BinaryMatrix,
+    CapExceededError,
+    Graph,
+    RationalPoint,
+    find_induced_cycle,
+    induced_subgraph,
+    is_connected,
+    is_isomorphic,
+    three_sun,
+)
+from kpacking.graphs import _bit, _bits
+
+TOTALLY_BALANCED_COLUMN_CAP = 16
 
 
 def relabel(g: Graph, mapping: dict[int, int]) -> Graph:
@@ -60,3 +74,81 @@ def reference_screen(g: Graph):
                 return False, kind, subset, None
             dominated.append((kind, subset, dom))
     return True, None, None, tuple(dominated)
+
+
+def universal_nodes(g: Graph) -> tuple[int, ...]:
+    """Nodes adjacent to every other node, ascending."""
+    full = (1 << g.n) - 1
+    return tuple(v for v in g.nodes() if g.adj[v - 1] == full & ~_bit(v))
+
+
+def is_chordal(g: Graph) -> bool:
+    """True iff the graph admits a perfect elimination ordering.
+
+    Greedy simplicial-node removal; correct because chordal graphs always
+    contain a simplicial node and stay chordal under node deletion.
+    """
+    active = (1 << g.n) - 1
+    remaining = g.n
+    while remaining:
+        for v in _bits(active):
+            nb = g.adj[v - 1] & active
+            if all(nb & ~_bit(u) & ~g.adj[u - 1] == 0 for u in _bits(nb)):
+                active &= ~_bit(v)
+                remaining -= 1
+                break
+        else:
+            return False
+    return True
+
+
+def is_totally_balanced(m: BinaryMatrix) -> bool:
+    """True iff no row/column submatrix is the node-edge incidence matrix of a
+    cycle of length >= 3; equivalently the bipartite row/column incidence graph
+    has no induced cycle of length >= 6.
+    """
+    if m.cols > TOTALLY_BALANCED_COLUMN_CAP:
+        raise CapExceededError(
+            f"total balancedness capped at {TOTALLY_BALANCED_COLUMN_CAP} columns"
+        )
+    edges = [
+        (i, m.rows + j)
+        for i in range(1, m.rows + 1)
+        for j in m.row_support(i)
+    ]
+    bip = Graph.from_edges(m.rows + m.cols, edges)
+    return find_induced_cycle(bip, min_length=6) is None
+
+
+def tight_constraint_rank(m: BinaryMatrix, point: RationalPoint) -> int:
+    """Rank of the constraints the point satisfies with equality (rows at 1,
+    coordinates at either bound).  Vertices have rank equal to the dimension.
+
+    Ranks by Gauss-Jordan elimination over Fraction, independently of the
+    library's integer kernel.
+    """
+    n = m.cols
+    rows = [
+        [Fraction((mk >> j) & 1) for j in range(n)]
+        for mk in m.row_masks
+        if sum(point.coords[j - 1] for j in _bits(mk)) == 1
+    ]
+    rows += [
+        [Fraction(int(i == j)) for i in range(n)]
+        for j, c in enumerate(point.coords)
+        if c == 0 or c == 1
+    ]
+    rank = 0
+    for col in range(n):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        prow = rows[rank]
+        for r, row in enumerate(rows):
+            if r != rank and row[col]:
+                f = row[col] / prow[col]
+                rows[r] = [x - f * y for x, y in zip(row, prow)]
+        rank += 1
+    return rank
+

@@ -18,7 +18,6 @@ from kpacking import (
     enumerate_connected_graphs,
     find_induced_cycle,
     find_undominated_obstruction,
-    is_chordal,
     is_extended_clique_node_by_cliques,
     is_extended_clique_node_by_pattern,
     is_isomorphic,
@@ -31,12 +30,12 @@ from kpacking import (
     solve_kpf_bruteforce,
     solve_limited_packing,
     three_sun,
-    universal_nodes,
     web,
     wheel,
 )
 
 from conftest import record_acceptance
+from helpers import is_chordal, universal_nodes
 
 
 def conclude(name, failures):

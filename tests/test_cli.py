@@ -5,10 +5,12 @@ import os
 import pytest
 
 import kpacking.cli
+import kpacking.graphs
 import kpacking.perfection
 import kpacking.recognition
 import kpacking.solver
 from kpacking import (
+    BinaryMatrix,
     closed_neighbourhood_matrix,
     cycle,
     format_graph,
@@ -27,6 +29,22 @@ def short_solve_kpf(g, k):
     """solve_kpf with its optimum lowered by one, to force a scaling violation."""
     res = SOLVE_KPF(g, k)
     return dataclasses.replace(res, optimum=res.optimum - 1)
+
+
+def cocktail_party_matrix(t: int) -> BinaryMatrix:
+    """2t x 2t matrix whose rows are transversals of the t column pairs
+    (1, 2), (3, 4), ...: row p takes the first column of pair p and the
+    second of every other pair, row t + p the complement.  For t >= 3 any
+    two columns of different pairs share a row, so the column intersection
+    graph is the cocktail-party graph, with 2**t maximal cliques.
+    """
+    rows = []
+    for flip in (0, 1):
+        for p in range(t):
+            rows.append([
+                int((q == p) != (side ^ flip)) for q in range(t) for side in (0, 1)
+            ])
+    return BinaryMatrix.from_rows(rows)
 
 
 def run(capsys, *argv):
@@ -209,6 +227,25 @@ class TestRecognize:
         payload, _ = run_json(capsys, "recognize", "--matrix", str(path), "--method", "cliques")
         assert payload["methods"]["cliques"]["verdict"] is True
 
+    def test_clique_work_cap_exit(self, capsys, tmp_path, monkeypatch):
+        # the column intersection graph has 256 maximal cliques; finding them
+        # costs 1259 units
+        monkeypatch.setattr(kpacking.graphs, "CLIQUE_WORK_CAP", 1258)
+        path = tmp_path / "cp8.matrix"
+        path.write_text(format_matrix(cocktail_party_matrix(8)))
+        code, out, err = run(capsys, "recognize", "--matrix", str(path))
+        assert code == 3
+        assert out == ""
+        assert "maximal clique search did more than 1258" in err
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({"method": "cliques", "verdict": False,
+                                    "uncovered_clique": [1, 3, 5, 7, 9, 11, 13, 15]}))
+        code, _, _ = run(capsys, "verify-certificate", str(cert), "--matrix", str(path))
+        assert code == 3
+        monkeypatch.setattr(kpacking.graphs, "CLIQUE_WORK_CAP", 1259)
+        payload, _ = run_json(capsys, "recognize", "--matrix", str(path), "--method", "cliques")
+        assert payload["methods"]["cliques"]["verdict"] is False
+
     def test_graph_and_matrix_are_exclusive(self, capsys, square):
         code, _, _ = run(capsys, "recognize", "--graph", square, "--matrix", square)
         assert code == 2
@@ -224,14 +261,18 @@ class TestPerfection:
         assert ["1/3"] * 4 in payload["vertices"]
         assert ["0/1"] * 4 in payload["vertices"]
 
-    def test_dimension_cap(self, capsys, tmp_path):
+    def test_dimension_cap(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "m.matrix"
         path.write_text(format_matrix(closed_neighbourhood_matrix(cycle(11))))
         code, _, _ = run(capsys, "perfection", "--matrix", str(path))
         assert code == 3
-        code, out, _ = run(
+        # the cap has no command line override
+        code, _, _ = run(
             capsys, "perfection", "--matrix", str(path), "--max-vertex-dim", "11"
         )
+        assert code == 2
+        monkeypatch.setattr(kpacking.perfection, "VERTEX_ENUMERATION_COLUMN_CAP", 11)
+        code, _, _ = run(capsys, "perfection", "--matrix", str(path))
         assert code == 0
 
 

@@ -14,15 +14,15 @@ from kpacking import (
     complete,
     cycle,
     enumerate_connected_graphs,
-    is_chordal,
     is_connected,
     is_isomorphic,
     pyramid,
     three_sun,
-    universal_nodes,
     web,
     wheel,
 )
+
+from helpers import is_chordal, universal_nodes
 
 
 class TestBasicFamilies:

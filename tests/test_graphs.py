@@ -1,9 +1,11 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kpacking.graphs
 from kpacking import (
     BinaryMatrix,
     CapExceededError,
@@ -18,18 +20,16 @@ from kpacking import (
     format_matrix,
     induced_cycles,
     induced_subgraph,
-    is_chordal,
     is_connected,
     is_isomorphic,
     maximal_cliques,
     parse_graph,
     parse_matrix,
     three_sun,
-    universal_nodes,
     wheel,
 )
 
-from helpers import maximal_cliques_bruteforce, relabel
+from helpers import is_chordal, maximal_cliques_bruteforce, relabel, universal_nodes
 from strategies import graphs
 
 
@@ -121,6 +121,24 @@ class TestMaximalCliques:
 
     def test_complete_graph_single_clique(self):
         assert maximal_cliques(complete(5)) == ((1, 2, 3, 4, 5),)
+
+    def test_clique_deeper_than_the_recursion_limit(self):
+        n = sys.getrecursionlimit() + 100
+        assert maximal_cliques(complete(n)) == (tuple(range(1, n + 1)),)
+
+    @pytest.mark.parametrize(
+        "g, work",
+        # search nodes plus pivot candidates; K4 is one path scanning 4+3+2+1
+        [(complete(4), 14), (cycle(5), 15), (three_sun(), 22)],
+    )
+    def test_work_cap(self, monkeypatch, g, work):
+        monkeypatch.setattr(kpacking.graphs, "CLIQUE_WORK_CAP", work)
+        answer = maximal_cliques(g)
+        monkeypatch.setattr(kpacking.graphs, "CLIQUE_WORK_CAP", work - 1)
+        with pytest.raises(CapExceededError, match=f"more than {work - 1} units"):
+            maximal_cliques(g)
+        monkeypatch.undo()
+        assert maximal_cliques(g) == answer
 
     @given(graphs(max_nodes=7))
     @settings(max_examples=200)

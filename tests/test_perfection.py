@@ -8,11 +8,8 @@ import kpacking.perfection
 from kpacking import (
     BinaryMatrix,
     CapExceededError,
-    Graph,
     RationalPoint,
     ZeroColumnError,
-    check_inherited_imperfection,
-    clique_cycle_family,
     closed_neighbourhood_matrix,
     complement,
     complete,
@@ -25,11 +22,11 @@ from kpacking import (
     polytope_vertices,
     pyramid,
     three_sun,
-    tight_constraint_rank,
     web,
     wheel,
 )
 
+from helpers import tight_constraint_rank
 from strategies import binary_matrices, connected_graphs
 
 
@@ -121,11 +118,12 @@ class TestPolytopeVertices:
         m = BinaryMatrix.from_rows([[1, 0], [0, 1]])
         assert len(polytope_vertices(m)) == 4
 
-    def test_column_cap(self):
+    def test_column_cap(self, monkeypatch):
         m = closed_neighbourhood_matrix(cycle(11))
         with pytest.raises(CapExceededError):
             polytope_vertices(m)
-        assert len(polytope_vertices(m, max_cols=11)) > 0
+        monkeypatch.setattr(kpacking.perfection, "VERTEX_ENUMERATION_COLUMN_CAP", 11)
+        assert len(polytope_vertices(m)) > 0
 
     @given(binary_matrices(max_rows=5, max_cols=4))
     @settings(max_examples=60, deadline=None)
@@ -278,36 +276,3 @@ class TestRationalPoint:
         assert p.coordinate_sum() == Fraction(4, 3)
         assert p.as_strings() == ("1/3", "0/1", "1/1")
 
-
-class TestInheritedImperfection:
-    def test_whole_graph_as_its_own_subset(self):
-        g = clique_cycle_family(2)
-        rep = check_inherited_imperfection(g, range(1, 11))
-        assert rep.applicable
-        assert rep.hypothesis_holds
-        assert rep.clique_graph_imperfect
-        assert rep.conclusion_verified
-
-    def test_false_twin_extension_keeps_the_conclusion(self):
-        base = clique_cycle_family(2)
-        edges = list(base.edges())
-        for w in base.neighbours(1):
-            edges.append((w, 11))
-        g = Graph.from_edges(11, edges)
-        rep = check_inherited_imperfection(g, range(1, 11))
-        assert rep.applicable
-        assert rep.hypothesis_holds
-        assert rep.conclusion_verified
-
-    def test_not_applicable_for_perfect_piece(self):
-        rep = check_inherited_imperfection(complete(5), [1, 2, 3])
-        assert not rep.applicable
-        assert rep.conclusion_verified
-
-    def test_containment_readings_can_diverge(self):
-        p4 = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
-        rep = check_inherited_imperfection(p4, [1])
-        assert rep.hypothesis_holds is False
-        assert rep.statement_reading_holds is True
-        assert rep.readings_diverge
-        assert rep.conclusion_verified

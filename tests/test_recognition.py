@@ -16,7 +16,6 @@ from kpacking import (
     is_extended_clique_node_by_cliques,
     is_extended_clique_node_by_pattern,
     is_isomorphic,
-    is_totally_balanced,
     maximal_cliques,
     recheck_certificate,
     three_sun,
@@ -26,7 +25,7 @@ from kpacking import (
 from kpacking.errors import CapExceededError, KpackingError
 from kpacking.graphs import _bits
 
-from helpers import reference_screen
+from helpers import is_totally_balanced, reference_screen
 from strategies import binary_matrices, connected_graphs, joined_graphs
 
 
