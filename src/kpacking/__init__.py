@@ -32,7 +32,6 @@ from .graphs import (
     format_graph,
     format_matrix,
     induced_cycles,
-    induced_subgraph,
     is_connected,
     is_isomorphic,
     maximal_cliques,

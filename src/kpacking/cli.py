@@ -90,18 +90,16 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_graph(path: str) -> tuple[Graph, dict]:
+def _load(path: str, parse) -> tuple:
+    """Parse the file at ``path`` and describe it by the digest of its text."""
     text = _read(path)
-    return parse_graph(text), _descriptor(text)
+    return parse(text), {"sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
 
 
-def _load_matrix(path: str) -> tuple[BinaryMatrix, dict]:
-    text = _read(path)
-    return parse_matrix(text), _descriptor(text)
-
-
-def _descriptor(text: str) -> dict:
-    return {"sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
+def _emit(args, command: str, descriptor: dict, body: dict) -> None:
+    """Write one report: the schema envelope around ``body``."""
+    report = {"schema": SCHEMA, "command": command, "input": descriptor, **body}
+    _write(_dump(report), args.output)
 
 
 def _parse_k_list(raw: str) -> list[int]:
@@ -136,42 +134,32 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    g, descriptor = _load_graph(args.input)
-    report: dict = {
-        "schema": SCHEMA,
-        "command": "solve",
-        "input": descriptor,
-        "variant": args.variant,
-        "k": args.k,
-    }
+    g, descriptor = _load(args.input, parse_graph)
+    body: dict = {"variant": args.variant, "k": args.k}
     if args.variant == "lp":
         if args.oracle:
             raise ValueError("--oracle applies to the integer variants only")
         value, point = lp_relaxation(g, args.k)
-        report["optimum"] = _rat(value)
-        report["witness"] = {"unit_vertex": list(point.as_strings())}
+        body["optimum"] = _rat(value)
+        body["witness"] = {"unit_vertex": list(point.as_strings())}
     else:
         solve = solve_kpf if args.variant == "kpf" else solve_limited_packing
         result = solve(g, args.k)
-        report["optimum"] = result.optimum
-        report["witness"] = {"k": args.k, "values": list(result.witness.values)}
-        report["node_order"] = list(result.node_order)
-        report["explored"] = result.explored
+        body["optimum"] = result.optimum
+        body["witness"] = {"k": args.k, "values": list(result.witness.values)}
+        body["node_order"] = list(result.node_order)
+        body["explored"] = result.explored
         if args.oracle:
             brute = (
                 solve_kpf_bruteforce if args.variant == "kpf" else solve_limited_bruteforce
             )
-            oracle = brute(g, args.k)
-            report["oracle"] = {
-                "optimum": oracle.optimum,
-                "agrees": oracle.optimum == result.optimum,
-            }
-            if oracle.optimum != result.optimum:
-                _write(_dump(report), args.output)
-                raise ConsistencyError(
-                    f"solver found {result.optimum}, oracle found {oracle.optimum}"
-                )
-    _write(_dump(report), args.output)
+            oracle = brute(g, args.k).optimum
+            body["oracle"] = {"optimum": oracle, "agrees": oracle == result.optimum}
+    _emit(args, "solve", descriptor, body)
+    if body.get("oracle", {}).get("agrees") is False:
+        raise ConsistencyError(
+            f"solver found {body['optimum']}, oracle found {body['oracle']['optimum']}"
+        )
     return 0
 
 
@@ -181,59 +169,42 @@ def _cmd_solve(args) -> int:
 
 def _cmd_recognize(args) -> int:
     if args.graph is not None:
-        g, descriptor = _load_graph(args.graph)
+        g, descriptor = _load(args.graph, parse_graph)
         m = closed_neighbourhood_matrix(g)
     else:
         g = None
-        m, descriptor = _load_matrix(args.matrix)
+        m, descriptor = _load(args.matrix, parse_matrix)
         if args.method == "structural":
             raise ValueError("the structural method needs a graph input")
-
-    methods: dict[str, dict] = {}
-    verdicts: dict[str, bool] = {}
-
-    def run(name, cert) -> None:
-        verdicts[name] = cert.verdict
-        entry: dict = {"verdict": cert.verdict}
+    # in this order, so that the same cap fires first; a matrix has no screen
+    recognizers = (
+        ("cliques", is_extended_clique_node_by_cliques, m),
+        ("pattern", is_extended_clique_node_by_pattern, m),
+        ("structural", find_undominated_obstruction, g),
+    )
+    certs = {
+        name: recognize(instance)
+        for name, recognize, instance in recognizers
+        if args.method in (name, "all") and instance is not None
+    }
+    body: dict = {"methods": {}}
+    for name, cert in certs.items():
+        entry = body["methods"][name] = {"verdict": cert.verdict}
         if args.certificate:
             entry["certificate"] = cert.to_payload()
-        methods[name] = entry
-
-    wanted = (
-        ["cliques", "pattern", "structural"] if args.method == "all" else [args.method]
-    )
-    if g is None and "structural" in wanted:
-        wanted = [w for w in wanted if w != "structural"]
-    for name in wanted:
-        if name == "cliques":
-            run(name, is_extended_clique_node_by_cliques(m))
-        elif name == "pattern":
-            run(name, is_extended_clique_node_by_pattern(m))
-        else:
-            run(name, find_undominated_obstruction(g))
-
-    report = {
-        "schema": SCHEMA,
-        "command": "recognize",
-        "input": descriptor,
-        "methods": methods,
-    }
-    if "cliques" in verdicts and "pattern" in verdicts:
-        report["exact_methods_agree"] = verdicts["cliques"] == verdicts["pattern"]
-    if "structural" in verdicts and "cliques" in verdicts:
-        report["structural_agrees"] = verdicts["structural"] == verdicts["cliques"]
-    _write(_dump(report), args.output)
-    if report.get("exact_methods_agree") is False:
+    cliques = certs.get("cliques")
+    if cliques is not None and "pattern" in certs:
+        body["exact_methods_agree"] = cliques.verdict == certs["pattern"].verdict
+    if cliques is not None and "structural" in certs:
+        body["structural_agrees"] = certs["structural"].verdict == cliques.verdict
+    _emit(args, "recognize", descriptor, body)
+    if body.get("exact_methods_agree") is False:
         raise ConsistencyError("the exact recognizers disagree")
     return 0
 
 
 # ---------------------------------------------------------------------------
 # perfection
-
-
-def _vertex_rows(m: BinaryMatrix) -> list[list[str]]:
-    return [list(p.as_strings()) for p in polytope_vertices(m)]
 
 
 def _verdict_sections(rep: PerfectionReport) -> dict:
@@ -263,30 +234,21 @@ def _verdict_sections(rep: PerfectionReport) -> dict:
 
 def _cmd_perfection(args) -> int:
     if args.graph is not None:
-        g, descriptor = _load_graph(args.graph)
-        report = {
-            "schema": SCHEMA,
-            "command": "perfection",
-            "input": descriptor,
-            **_verdict_sections(perfection_report(g)),
-        }
-        if args.emit_vertices:
-            report["vertices"] = _vertex_rows(closed_neighbourhood_matrix(g))
+        g, descriptor = _load(args.graph, parse_graph)
+        m = closed_neighbourhood_matrix(g)
+        body = _verdict_sections(perfection_report(g))
     else:
-        m, descriptor = _load_matrix(args.matrix)
+        m, descriptor = _load(args.matrix, parse_matrix)
         verdict, fractional = is_perfect_matrix(m)
-        report = {
-            "schema": SCHEMA,
-            "command": "perfection",
-            "input": descriptor,
+        body = {
             "matrix_perfect": verdict,
             "fractional_vertex": (
                 None if fractional is None else list(fractional.as_strings())
             ),
         }
-        if args.emit_vertices:
-            report["vertices"] = _vertex_rows(m)
-    _write(_dump(report), args.output)
+    if args.emit_vertices:
+        body["vertices"] = [list(p.as_strings()) for p in polytope_vertices(m)]
+    _emit(args, "perfection", descriptor, body)
     return 0
 
 
@@ -304,15 +266,11 @@ def _cmd_analyze(args) -> int:
         g = obj
         descriptor = {"family": spec.family, "parameters": list(spec.parameters)}
     elif args.input is not None:
-        g, descriptor = _load_graph(args.input)
+        g, descriptor = _load(args.input, parse_graph)
     else:
         raise ValueError("analyze needs an input file or --family")
 
     rep = perfection_report(g)
-    certificates = {
-        name: cert.to_payload() for name, cert in sorted(rep.certificates.items())
-    }
-
     scaling = scaling_reports(g, args.k, rep)
     per_k = {
         str(r.k): {
@@ -326,10 +284,7 @@ def _cmd_analyze(args) -> int:
     }
     unit = rep.unit_relaxation
 
-    report = {
-        "schema": SCHEMA,
-        "command": "analyze",
-        "input": descriptor,
+    body = {
         "graph": {"nodes": g.n, "edges": [list(e) for e in g.edges()]},
         **_verdict_sections(rep),
         "packing": {
@@ -339,8 +294,10 @@ def _cmd_analyze(args) -> int:
         },
     }
     if args.certificates:
-        report["certificates"] = certificates
-    _write(_dump(report), args.output)
+        body["certificates"] = {
+            name: cert.to_payload() for name, cert in sorted(rep.certificates.items())
+        }
+    _emit(args, "analyze", descriptor, body)
     elapsed = time.monotonic() - started
     sys.stderr.write(json.dumps({"timing": {"seconds": round(elapsed, 6)}}) + "\n")
     return 0
@@ -494,9 +451,9 @@ def _cmd_verify_certificate(args) -> int:
         raise ParseError(f"bad certificate JSON: {exc}") from None
     graph = matrix = None
     if args.graph is not None:
-        graph, _ = _load_graph(args.graph)
+        graph = _load(args.graph, parse_graph)[0]
     if args.matrix is not None:
-        matrix, _ = _load_matrix(args.matrix)
+        matrix = _load(args.matrix, parse_matrix)[0]
     valid = recheck_certificate(payload, graph=graph, matrix=matrix)
     sys.stdout.write(_dump({"schema": SCHEMA, "command": "verify-certificate", "valid": valid}))
     return 0 if valid else 1
@@ -506,6 +463,9 @@ def _cmd_verify_certificate(args) -> int:
 # parser
 
 
+# built on first use and then reused: parsing leaves no state in the parser,
+# and no command mutates a parsed default
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kpacking",
@@ -575,9 +535,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

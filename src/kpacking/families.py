@@ -13,6 +13,7 @@ from .graphs import (
     Graph,
     _bit,
     _profiles,
+    complement,
     is_isomorphic,
 )
 
@@ -57,8 +58,6 @@ def web(n: int, k: int) -> Graph:
 
 
 def antiweb(n: int, k: int) -> Graph:
-    from .graphs import complement
-
     return complement(web(n, k))
 
 
@@ -179,7 +178,7 @@ class FamilySpec:
         entry = FAMILIES.get(self.family)
         if entry is None:
             raise FamilyParameterError(f"unknown family {self.family!r}")
-        builder, arity, _ = entry
+        builder, arity = entry
         if len(self.parameters) != arity:
             raise FamilyParameterError(
                 f"family {self.family!r} takes {arity} parameter(s), "
@@ -199,15 +198,15 @@ class FamilySpec:
         return builder(*self.parameters)
 
 
-# name -> (builder, parameter count, result kind)
+# name -> (builder, parameter count)
 FAMILIES = {
-    "complete": (complete, 1, "graph"),
-    "cycle": (cycle, 1, "graph"),
-    "wheel": (wheel, 1, "graph"),
-    "web": (web, 2, "graph"),
-    "antiweb": (antiweb, 2, "graph"),
-    "three_sun": (three_sun, 0, "graph"),
-    "pyramid": (pyramid, 1, "graph"),
-    "clique_cycle": (clique_cycle_family, 1, "graph"),
-    "circulant": (circulant_matrix, 2, "matrix"),
+    "complete": (complete, 1),
+    "cycle": (cycle, 1),
+    "wheel": (wheel, 1),
+    "web": (web, 2),
+    "antiweb": (antiweb, 2),
+    "three_sun": (three_sun, 0),
+    "pyramid": (pyramid, 1),
+    "clique_cycle": (clique_cycle_family, 1),
+    "circulant": (circulant_matrix, 2),
 }

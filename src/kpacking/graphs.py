@@ -81,9 +81,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v - 1].bit_count()
 
-    def neighbours(self, v: int) -> tuple[int, ...]:
-        return tuple(_bits(self.adj[v - 1]))
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u - 1] & _bit(v))
 
@@ -100,9 +97,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(row.bit_count() for row in self.adj))
 
 
 @dataclass(frozen=True)
@@ -145,9 +139,6 @@ class BinaryMatrix:
     def entry(self, i: int, j: int) -> int:
         return (self.row_masks[i - 1] >> (j - 1)) & 1
 
-    def row_support(self, i: int) -> tuple[int, ...]:
-        return tuple(_bits(self.row_masks[i - 1]))
-
     def has_zero_column(self) -> bool:
         seen = 0
         for row in self.row_masks:
@@ -172,32 +163,8 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, tuple((full & ~row & ~_bit(v)) for v, row in enumerate(g.adj, 1)))
 
 
-def induced_subgraph(g: Graph, nodes) -> Graph:
-    """Subgraph induced by ``nodes``, relabelled 1..|nodes| in sorted label order."""
-    sel = sorted(set(nodes))
-    if not sel:
-        raise ValueError("node subset must be nonempty")
-    if sel[0] < 1 or sel[-1] > g.n:
-        raise ValueError(f"node subset out of range 1..{g.n}")
-    pos = {v: i + 1 for i, v in enumerate(sel)}
-    adj = [0] * len(sel)
-    for v in sel:
-        for u in _bits(g.adj[v - 1]):
-            if u in pos:
-                adj[pos[v] - 1] |= _bit(pos[u])
-    return Graph(len(sel), tuple(adj))
-
-
 def is_connected(g: Graph) -> bool:
-    seen = _bit(1)
-    frontier = _bit(1)
-    while frontier:
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= g.adj[v - 1]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << g.n) - 1
+    return _connected_within(g, (1 << g.n) - 1)
 
 
 def _connected_within(g: Graph, mask: int) -> bool:

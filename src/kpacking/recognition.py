@@ -19,7 +19,6 @@ re-checked independently via :func:`recheck_certificate`.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -32,8 +31,6 @@ from .graphs import (
     _connected_within,
     _mask_of,
     closed_neighbourhood_matrix,
-    induced_subgraph,
-    is_isomorphic,
     maximal_cliques,
 )
 
@@ -214,25 +211,22 @@ _OBSTRUCTION_SIZES = (4, 5, 6)
 
 def _obstruction_kind(g: Graph, mask: int) -> str | None:
     """Kind of the subgraph that ``mask`` induces in ``g``: "cycle<size>" for
-    an induced cycle, "sun" for a 3-sun, else None.
+    an induced cycle, "sun" for a 3-sun, else None.  Only the sizes the
+    screen scans have a kind.
     """
+    size = mask.bit_count()
+    if size not in _OBSTRUCTION_SIZES:
+        return None
     degs = [(g.adj[v - 1] & mask).bit_count() for v in _bits(mask)]
-    if all(d == 2 for d in degs):
-        return f"cycle{len(degs)}" if _connected_within(g, mask) else None
-    if (
-        len(degs) == 6
-        and sorted(degs) == [2, 2, 2, 4, 4, 4]
-        and is_isomorphic(induced_subgraph(g, _bits(mask)), _sun())
-    ):
+    if degs == [2] * size:
+        return f"cycle{size}" if _connected_within(g, mask) else None
+    # These degrees force a 3-sun: each degree-4 node has at least 2 edges to
+    # the degree-2 nodes, which have only 6 edge ends between them.  So the
+    # degree-4 nodes form a triangle, the degree-2 nodes have no edge, and
+    # the 6 edges between the two sides form a 6-cycle.
+    if sorted(degs) == [2, 2, 2, 4, 4, 4]:
         return "sun"
     return None
-
-
-@functools.cache
-def _sun() -> Graph:
-    from .families import three_sun
-
-    return three_sun()
 
 
 def find_undominated_obstruction(g: Graph) -> RecognitionCertificate:
@@ -389,8 +383,9 @@ def _recheck_pattern(payload: dict, m: BinaryMatrix, verdict: bool) -> bool:
 def _recheck_structural(payload: dict, g: Graph, verdict: bool) -> bool:
     if verdict:
         return find_undominated_obstruction(g).verdict
-    nodes = tuple(payload.get("obstruction_nodes", ()))
-    if not nodes or any(not 1 <= v <= g.n for v in nodes):
+    nodes = payload.get("obstruction_nodes", [])
+    # the screen emits distinct labels in ascending order
+    if not nodes or nodes != sorted(set(nodes)) or nodes[0] < 1 or nodes[-1] > g.n:
         return False
     mask = _mask_of(nodes)
     kind = _obstruction_kind(g, mask)

@@ -9,14 +9,40 @@ from kpacking import (
     Graph,
     RationalPoint,
     find_induced_cycle,
-    induced_subgraph,
-    is_connected,
     is_isomorphic,
     three_sun,
 )
 from kpacking.graphs import _bit, _bits
 
 TOTALLY_BALANCED_COLUMN_CAP = 16
+
+
+def neighbours(g: Graph, v: int) -> tuple[int, ...]:
+    return tuple(_bits(g.adj[v - 1]))
+
+
+def degree_sequence(g: Graph) -> tuple[int, ...]:
+    return tuple(sorted(row.bit_count() for row in g.adj))
+
+
+def row_support(m: BinaryMatrix, i: int) -> tuple[int, ...]:
+    return tuple(_bits(m.row_masks[i - 1]))
+
+
+def induced_subgraph(g: Graph, nodes) -> Graph:
+    """Subgraph induced by ``nodes``, relabelled 1..|nodes| in sorted label order."""
+    sel = sorted(set(nodes))
+    if not sel:
+        raise ValueError("node subset must be nonempty")
+    if sel[0] < 1 or sel[-1] > g.n:
+        raise ValueError(f"node subset out of range 1..{g.n}")
+    pos = {v: i + 1 for i, v in enumerate(sel)}
+    adj = [0] * len(sel)
+    for v in sel:
+        for u in _bits(g.adj[v - 1]):
+            if u in pos:
+                adj[pos[v] - 1] |= _bit(pos[u])
+    return Graph(len(sel), tuple(adj))
 
 
 def relabel(g: Graph, mapping: dict[int, int]) -> Graph:
@@ -44,27 +70,34 @@ def maximal_cliques_bruteforce(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(cliques))
 
 
+def reference_kind(sub: Graph):
+    """Obstruction kind of a whole 4-, 5- or 6-node graph, from its degree
+    sequence, an induced cycle search and an isomorphism test against the
+    3-sun: "cycle<n>", "sun" or None.
+    """
+    degs = degree_sequence(sub)
+    if all(d == 2 for d in degs):
+        # a 2-regular graph is one cycle iff a chordless cycle covers it
+        if find_induced_cycle(sub, min_length=sub.n) is None:
+            return None
+        return f"cycle{sub.n}"
+    if degs == (2, 2, 2, 4, 4, 4) and is_isomorphic(sub, three_sun()):
+        return "sun"
+    return None
+
+
 def reference_screen(g: Graph):
-    """Reference structural screen: classify every 4-, 5- and 6-node subset by
-    building its induced subgraph, then its degree sequence, connectivity and
-    an isomorphism test against the 3-sun.
+    """Reference structural screen: build the induced subgraph of every 4-,
+    5- and 6-node subset and classify it with ``reference_kind``.
 
     Returns (verdict, obstruction kind, obstruction nodes, dominated) in the
     shape of the library's structural certificate.
     """
-    sun = three_sun()
     dominated = []
     for size in (4, 5, 6):
         for subset in itertools.combinations(g.nodes(), size):
-            sub = induced_subgraph(g, subset)
-            degs = sub.degree_sequence()
-            if all(d == 2 for d in degs):
-                if not is_connected(sub):
-                    continue
-                kind = f"cycle{size}"
-            elif degs == (2, 2, 2, 4, 4, 4) and is_isomorphic(sub, sun):
-                kind = "sun"
-            else:
+            kind = reference_kind(induced_subgraph(g, subset))
+            if kind is None:
                 continue
             outside = [v for v in g.nodes() if v not in subset]
             dom = next(
@@ -114,7 +147,7 @@ def is_totally_balanced(m: BinaryMatrix) -> bool:
     edges = [
         (i, m.rows + j)
         for i in range(1, m.rows + 1)
-        for j in m.row_support(i)
+        for j in row_support(m, i)
     ]
     bip = Graph.from_edges(m.rows + m.cols, edges)
     return find_induced_cycle(bip, min_length=6) is None

@@ -1,6 +1,8 @@
+import argparse
 import dataclasses
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ import kpacking.solver
 from kpacking import (
     BinaryMatrix,
     closed_neighbourhood_matrix,
+    complete,
     cycle,
     format_graph,
     format_matrix,
@@ -23,6 +26,11 @@ from kpacking import (
 from kpacking.cli import main
 
 SOLVE_KPF = kpacking.solver.solve_kpf
+# "kpacking [command] --help" -> its text at COLUMNS=80 under Python 3.11's
+# argparse; a changed flag, default or help string shows up here
+HELP_TEXTS = json.loads(
+    (Path(__file__).parent / "data" / "cli_help.json").read_text(encoding="utf-8")
+)
 
 
 def short_solve_kpf(g, k):
@@ -71,6 +79,29 @@ def octahedron(tmp_path):
     path = tmp_path / "octahedron.graph"
     path.write_text(format_graph(web(6, 2)))
     return str(path)
+
+
+class TestParser:
+    def test_built_once_per_process(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            if kwargs.get("prog") == "kpacking":
+                built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        for _ in range(2):
+            assert run(capsys, "gen", "cycle", "5")[0] == 0
+        assert len(built) <= 1
+
+    @pytest.mark.parametrize("prog", sorted(HELP_TEXTS))
+    def test_help_text(self, capsys, monkeypatch, prog):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, _ = run(capsys, *prog.split()[1:], "--help")
+        assert code == 0
+        assert out == HELP_TEXTS[prog]
 
 
 class TestGen:
@@ -421,6 +452,21 @@ class TestVerifyCertificate:
         cert_path = tmp_path / "cert.json"
         cert_path.write_text(json.dumps(cert))
         code, out, _ = run(capsys, "verify-certificate", str(cert_path), "--graph", octahedron)
+        assert code == 1
+        assert json.loads(out)["valid"] is False
+
+    def test_forged_structural_certificate(self, capsys, tmp_path):
+        # every recognizer accepts K3, so it has no undominated 3-cycle to show
+        graph_path = tmp_path / "k3.graph"
+        graph_path.write_text(format_graph(complete(3)))
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps({
+            "method": "structural",
+            "verdict": False,
+            "obstruction_kind": "cycle3",
+            "obstruction_nodes": [1, 2, 3],
+        }))
+        code, out, _ = run(capsys, "verify-certificate", str(cert_path), "--graph", str(graph_path))
         assert code == 1
         assert json.loads(out)["valid"] is False
 

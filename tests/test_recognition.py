@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,8 +26,9 @@ from kpacking import (
 )
 from kpacking.errors import CapExceededError, KpackingError
 from kpacking.graphs import _bits
+from kpacking.recognition import _obstruction_kind
 
-from helpers import is_totally_balanced, reference_screen
+from helpers import is_totally_balanced, reference_kind, reference_screen, row_support
 from strategies import binary_matrices, connected_graphs, joined_graphs
 
 
@@ -105,7 +108,7 @@ class TestExactRecognizers:
         m = closed_neighbourhood_matrix(wheel(6))
         cert = is_extended_clique_node_by_cliques(m)
         assert cert.verdict is True
-        supports = {m.row_support(i) for i in range(1, m.rows + 1)}
+        supports = {row_support(m, i) for i in range(1, m.rows + 1)}
         gq = clique_graph(m)
         for clique in maximal_cliques(gq):
             assert clique in supports
@@ -229,6 +232,18 @@ class TestStructuralScreen:
         got = (cert.verdict, cert.obstruction_kind, cert.obstruction_nodes, cert.dominated)
         assert got == reference_screen(g)
 
+    def test_kinds_of_every_labelled_graph_on_six_nodes(self):
+        # the screen names a 3-sun from its degrees alone; this checks that
+        # against the isomorphism test on all 2**15 labelled 6-node graphs
+        pairs = list(itertools.combinations(range(1, 7), 2))
+        suns = 0
+        for bits in range(1 << len(pairs)):
+            g = Graph.from_edges(6, [e for i, e in enumerate(pairs) if bits >> i & 1])
+            kind = _obstruction_kind(g, (1 << 6) - 1)
+            assert kind == reference_kind(g), list(g.edges())
+            suns += kind == "sun"
+        assert suns == 120
+
     def test_screen_node_cap(self, monkeypatch):
         monkeypatch.setattr(kpacking.recognition, "STRUCTURAL_SCREEN_NODE_CAP", 6)
         assert find_undominated_obstruction(cycle(6)).verdict is False
@@ -276,6 +291,28 @@ class TestCertificateRecheck:
         payload = is_extended_clique_node_by_pattern(m).to_payload()
         payload["pattern_zeros"] = [1, 2, 3]
         assert not recheck_certificate(payload, matrix=m)
+
+    @pytest.mark.parametrize(
+        "g, kind, nodes",
+        [
+            # every recognizer accepts K3 and the 7-cycle, so no negative
+            # structural certificate for them is valid
+            (complete(3), "cycle3", [1, 2, 3]),
+            (cycle(7), "cycle7", [1, 2, 3, 4, 5, 6, 7]),
+            # the screen emits distinct labels in ascending order
+            (cycle(4), "cycle4", [1, 2, 3, 4, 4]),
+            (cycle(4), "cycle4", [2, 1, 3, 4]),
+        ],
+        ids=["k3-cycle3", "c7-cycle7", "repeated-label", "unsorted-labels"],
+    )
+    def test_forged_structural_certificate_rejected(self, g, kind, nodes):
+        payload = {
+            "method": "structural",
+            "verdict": False,
+            "obstruction_kind": kind,
+            "obstruction_nodes": nodes,
+        }
+        assert not recheck_certificate(payload, graph=g)
 
     def test_wrong_input_rejected(self):
         m = closed_neighbourhood_matrix(web(6, 2))
