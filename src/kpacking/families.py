@@ -12,9 +12,9 @@ from .graphs import (
     BinaryMatrix,
     Graph,
     _bit,
-    _profiles,
+    _isomorphic,
+    _node_invariants,
     complement,
-    is_isomorphic,
 )
 
 
@@ -121,36 +121,31 @@ def clique_cycle_family(k: int) -> Graph:
 KNOWN_CENSUS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
 
-def _invariant_key(g: Graph):
-    profiles = sorted(_profiles(g))
-    triangles = sum(
-        1
-        for a, b, c in itertools.combinations(g.nodes(), 3)
-        if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)
-    )
-    degs = tuple(deg for deg, _ in profiles)
-    return (g.n, g.edge_count(), degs, tuple(profiles), triangles)
-
-
 @functools.lru_cache(maxsize=None)
 def _census(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph(1, (0,)),)
     # every connected graph arises from a connected graph on n-1 nodes by
-    # attaching node n to a nonempty neighbour set
-    buckets: dict[tuple, list[Graph]] = {}
+    # attaching node n to a nonempty neighbour set; a candidate is kept unless
+    # it is isomorphic to a kept graph with the same sorted node invariants
+    top = 1 << (n - 1)
+    buckets: dict[tuple, list] = {}
     out: list[Graph] = []
     for base in _census(n - 1):
-        base_edges = list(base.edges())
         for r in range(1, n):
-            for subset in itertools.combinations(range(1, n), r):
-                g = Graph.from_edges(n, base_edges + [(v, n) for v in subset])
-                key = _invariant_key(g)
-                bucket = buckets.setdefault(key, [])
-                if any(is_isomorphic(g, h) for h in bucket):
+            for subset in itertools.combinations(range(n - 1), r):
+                adj = list(base.adj)
+                row = 0
+                for v in subset:
+                    adj[v] |= top
+                    row |= 1 << v
+                adj.append(row)
+                inv = _node_invariants(adj)
+                bucket = buckets.setdefault(tuple(sorted(inv)), [])
+                if any(_isomorphic(adj, inv, a, i) for a, i in bucket):
                     continue
-                bucket.append(g)
-                out.append(g)
+                bucket.append((adj, inv))
+                out.append(Graph(n, tuple(adj)))
     return tuple(out)
 
 

@@ -213,61 +213,62 @@ def maximal_cliques(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(tuple(_bits(m)) for m in out))
 
 
-def _profiles(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
-    degs = [row.bit_count() for row in g.adj]
-    return [
-        (degs[v - 1], tuple(sorted(degs[u - 1] for u in _bits(g.adj[v - 1]))))
-        for v in g.nodes()
-    ]
+def _node_invariants(adj) -> list[tuple[int, ...]]:
+    """Per node of the mask rows ``adj``: its degree, then how many of its
+    neighbours have each degree that occurs in the graph, in ascending degree
+    order (one round of colour refinement).
+    """
+    degs = [row.bit_count() for row in adj]
+    classes: dict[int, int] = {}
+    for v, d in enumerate(degs):
+        classes[d] = classes.get(d, 0) | 1 << v
+    masks = [classes[d] for d in sorted(classes)]
+    return [(d, *((row & m).bit_count() for m in masks)) for d, row in zip(degs, adj)]
+
+
+def _isomorphic(adj_g, inv_g, adj_h, inv_h) -> bool:
+    """Backtracking isomorphism test on 0-based mask rows.
+
+    ``inv_g`` and ``inv_h`` are the ``_node_invariants`` of the two graphs and
+    must agree as multisets.  g's nodes are placed rarest invariant first,
+    each onto a free node of h with the same invariant and the same adjacency
+    to the nodes already placed.
+    """
+    n = len(adj_g)
+    classes: dict[tuple[int, ...], int] = {}
+    for w, key in enumerate(inv_h):
+        classes[key] = classes.get(key, 0) | 1 << w
+    order = sorted(range(n), key=lambda v: (classes[inv_g[v]].bit_count(), inv_g[v]))
+    image = [0] * n  # bit of the h node that g node v is placed on
+
+    def place(i: int, placed: int, used: int) -> bool:
+        if i == n:
+            return True
+        v = order[i]
+        req = 0
+        for u in _bits(adj_g[v] & placed):
+            req |= image[u - 1]
+        cand = classes[inv_g[v]] & ~used
+        while cand:
+            bw = cand & -cand
+            cand ^= bw
+            if adj_h[bw.bit_length() - 1] & used == req:
+                image[v] = bw
+                if place(i + 1, placed | 1 << v, used | bw):
+                    return True
+        return False
+
+    return place(0, 0, 0)
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
-    """Backtracking isomorphism test with degree-profile pruning."""
+    """Backtracking isomorphism test with node-invariant pruning."""
     if g.n != h.n or g.edge_count() != h.edge_count():
         return False
-    gp, hp = _profiles(g), _profiles(h)
-    if sorted(gp) != sorted(hp):
+    inv_g, inv_h = _node_invariants(g.adj), _node_invariants(h.adj)
+    if sorted(inv_g) != sorted(inv_h):
         return False
-    n = g.n
-
-    # order g's nodes so each one touches as many already-placed nodes as possible
-    order: list[int] = []
-    placed = 0
-    rest = set(g.nodes())
-    while rest:
-        v = max(
-            rest,
-            key=lambda u: ((g.adj[u - 1] & placed).bit_count(), gp[u - 1], -u),
-        )
-        order.append(v)
-        placed |= _bit(v)
-        rest.remove(v)
-
-    cands = {v: [w for w in h.nodes() if hp[w - 1] == gp[v - 1]] for v in order}
-    image = {}
-    used = 0
-
-    def assign(i: int) -> bool:
-        nonlocal used
-        if i == n:
-            return True
-        u = order[i]
-        req = 0
-        for j in range(i):
-            if g.has_edge(u, order[j]):
-                req |= _bit(image[order[j]])
-        for w in cands[u]:
-            bw = _bit(w)
-            if used & bw or (h.adj[w - 1] & used) != req:
-                continue
-            image[u] = w
-            used |= bw
-            if assign(i + 1):
-                return True
-            used &= ~bw
-        return False
-
-    return assign(0)
+    return _isomorphic(g.adj, inv_g, h.adj, inv_h)
 
 
 def induced_cycles(g: Graph, min_length: int = 4, odd_only: bool = False):

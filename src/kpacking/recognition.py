@@ -311,7 +311,8 @@ def recheck_certificate(
 
 
 def _is_int_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(x, int) for x in value)
+    # exact type, because JSON true/false load as bool, a subclass of int
+    return isinstance(value, list) and all(type(x) is int for x in value)
 
 
 def _check_payload_shape(payload) -> None:
@@ -324,7 +325,7 @@ def _check_payload_shape(payload) -> None:
     cover = payload.get("cover", [])
     if not isinstance(cover, list) or not all(
         isinstance(item, dict) and _is_int_list(item.get("clique"))
-        and isinstance(item.get("row"), int) for item in cover
+        and type(item.get("row")) is int for item in cover
     ):
         raise ParseError("certificate cover items need a 'clique' list and a 'row' integer")
 

@@ -52,6 +52,19 @@ def relabel(g: Graph, mapping: dict[int, int]) -> Graph:
     return Graph.from_edges(g.n, [(mapping[u], mapping[v]) for u, v in g.edges()])
 
 
+def brute_canonical_code(g: Graph) -> tuple[int, ...]:
+    """Isomorphism oracle: the least upper-triangle adjacency tuple over all
+    n! relabellings.  Two graphs get the same code iff they are isomorphic.
+    Intended for n <= 7.
+    """
+    edges = set(g.edges())
+    pairs = list(itertools.combinations(range(1, g.n + 1), 2))
+    return min(
+        tuple(int(tuple(sorted((p[u - 1], p[v - 1]))) in edges) for u, v in pairs)
+        for p in itertools.permutations(range(1, g.n + 1))
+    )
+
+
 def maximal_cliques_bruteforce(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Reference oracle: scan all 2^n node subsets.  Intended for n <= 7."""
     cliques = []

@@ -482,8 +482,18 @@ class TestVerifyCertificate:
                 "pattern_columns": [1, 2, 3],
             },
             [{"method": "cliques", "verdict": True}],
+            {
+                "method": "structural",
+                "verdict": False,
+                "obstruction_kind": "cycle5",
+                "obstruction_nodes": [True, 2, 3, 4, 5],
+            },
+            {"method": "cliques", "verdict": True, "cover": [{"clique": [1, 2], "row": True}]},
         ],
-        ids=["cover-without-clique", "non-integer-row", "top-level-list"],
+        ids=[
+            "cover-without-clique", "non-integer-row", "top-level-list",
+            "boolean-label", "boolean-cover-row",
+        ],
     )
     def test_malformed_payload_is_a_parse_error(self, capsys, tmp_path, payload):
         graph_path = tmp_path / "c5.graph"

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,8 +24,29 @@ from kpacking import (
     web,
     wheel,
 )
+from kpacking.families import KNOWN_CENSUS_COUNTS
 
-from helpers import degree_sequence, is_chordal, neighbours, universal_nodes
+from helpers import (
+    brute_canonical_code,
+    degree_sequence,
+    is_chordal,
+    neighbours,
+    universal_nodes,
+)
+
+# sha256 of json.dumps([list(g.adj) for g in enumerate_connected_graphs(n)]),
+# recorded before the census moved to bitmask rows: the same representatives
+# in the same order.  The n = 8 list (digest 7a8080d8c4e3...) matched once by
+# hand; it takes seconds, so it is not a test.
+CENSUS_DIGESTS = {
+    1: "db407f11d7ede59abaab0e98e097ff2dae10a048207b801745d7199ef19c2387",
+    2: "ea9610e84656457b8984fb4f10806a7046e6a685dd6ca9f80baa8decfeec15fd",
+    3: "f3568bb27206b8abcf06b06f951b484cf26b595d0cb87c7441321e67af4c2a3c",
+    4: "759b3a5b30efe3086ddc3ae57f0529e47a2c9085dc2d72ce533b17bbef8f2bdb",
+    5: "4cc19893ea89b3e3270061ad1ce592b24d4bb741fc724e61d1ea4818f314259c",
+    6: "d928d149bb1deccc22f4ec47a8f110c36aa73853367fe8ec3850064fee4db326",
+    7: "2ac175f5c927edee91511fca7d6045b6456849c6b3204534916d5f80f19ea167",
+}
 
 
 class TestBasicFamilies:
@@ -174,6 +198,16 @@ class TestCensus:
             for i, g in enumerate(found):
                 for h in found[i + 1 :]:
                     assert not is_isomorphic(g, h)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_complete_and_isomorph_free_by_brute_force(self, n):
+        codes = {brute_canonical_code(g) for g in enumerate_connected_graphs(n)}
+        assert len(codes) == KNOWN_CENSUS_COUNTS[n]
+
+    @pytest.mark.parametrize("n", sorted(CENSUS_DIGESTS))
+    def test_representatives_are_pinned(self, n):
+        rows = json.dumps([list(g.adj) for g in enumerate_connected_graphs(n)])
+        assert hashlib.sha256(rows.encode()).hexdigest() == CENSUS_DIGESTS[n]
 
     def test_range_validation(self):
         with pytest.raises(FamilyParameterError):

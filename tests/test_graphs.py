@@ -29,6 +29,7 @@ from kpacking import (
 )
 
 from helpers import (
+    brute_canonical_code,
     degree_sequence,
     induced_subgraph,
     is_chordal,
@@ -200,7 +201,63 @@ class TestChordal:
         assert is_chordal(g) == (find_induced_cycle(g, min_length=4) is None)
 
 
+TWO_TRIANGLES = Graph.from_edges(6, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)])
+# Up to isomorphism, the only pairs of distinct graphs on at most six nodes
+# whose nodes have the same degrees and neighbour degrees: the 6-cycle and two
+# triangles, each with edge 14 added, and the complements of these two pairs.
+PROFILE_TWINS = [
+    (cycle(6), TWO_TRIANGLES),
+    (
+        Graph.from_edges(6, cycle(6).edges() + ((1, 4),)),
+        Graph.from_edges(6, TWO_TRIANGLES.edges() + ((1, 4),)),
+    ),
+]
+PROFILE_TWINS += [(complement(g), complement(h)) for g, h in PROFILE_TWINS]
+
+
+@st.composite
+def graph_pairs(draw, max_nodes=6):
+    """Two graphs on the same node count, the second relabelled at random:
+    a copy, a copy after a few degree-preserving edge switches, an unrelated
+    graph, or one of ``PROFILE_TWINS`` either way round.
+    """
+    how = draw(st.sampled_from(["copy", "switched", "unrelated", "twins"]))
+    if how == "twins":
+        g, h = draw(st.sampled_from(PROFILE_TWINS))
+        if draw(st.booleans()):
+            g, h = h, g
+    else:
+        g = draw(graphs(max_nodes=max_nodes))
+        h = draw(graphs(min_nodes=g.n, max_nodes=g.n)) if how == "unrelated" else g
+    edges = set(h.edges())
+    if how == "switched":
+        # replace edges ab, cd by ad, cb where both are non-edges
+        for _ in range(draw(st.integers(1, 3))):
+            if len(edges) < 2:
+                break
+            (a, b), (c, d) = draw(st.permutations(sorted(edges)))[:2]
+            if draw(st.booleans()):
+                c, d = d, c
+            ad, cb = tuple(sorted((a, d))), tuple(sorted((c, b)))
+            if len({a, b, c, d}) == 4 and ad not in edges and cb not in edges:
+                edges -= {(a, b), tuple(sorted((c, d)))}
+                edges |= {ad, cb}
+    perm = draw(st.permutations(range(1, g.n + 1)))
+    return g, relabel(Graph.from_edges(g.n, edges), dict(zip(g.nodes(), perm)))
+
+
 class TestIsomorphism:
+    @given(graph_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_brute_force_codes(self, pair):
+        g, h = pair
+        assert is_isomorphic(g, h) == (brute_canonical_code(g) == brute_canonical_code(h))
+
+    @pytest.mark.parametrize("g, h", PROFILE_TWINS)
+    def test_profile_twins_are_distinct(self, g, h):
+        assert brute_canonical_code(g) != brute_canonical_code(h)
+        assert not is_isomorphic(g, h)
+
     @given(graphs(max_nodes=7), st.randoms(use_true_random=False))
     @settings(max_examples=150)
     def test_relabel_invariance(self, g, rng):
@@ -210,8 +267,7 @@ class TestIsomorphism:
         assert is_isomorphic(g, h)
 
     def test_same_degree_sequence_not_isomorphic(self):
-        two_triangles = Graph.from_edges(6, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)])
-        assert not is_isomorphic(cycle(6), two_triangles)
+        assert not is_isomorphic(cycle(6), TWO_TRIANGLES)
 
     def test_different_sizes(self):
         assert not is_isomorphic(cycle(4), cycle(5))

@@ -24,7 +24,7 @@ from kpacking import (
     web,
     wheel,
 )
-from kpacking.errors import CapExceededError, KpackingError
+from kpacking.errors import CapExceededError, KpackingError, ParseError
 from kpacking.graphs import _bits
 from kpacking.recognition import _obstruction_kind
 
@@ -313,6 +313,28 @@ class TestCertificateRecheck:
             "obstruction_nodes": nodes,
         }
         assert not recheck_certificate(payload, graph=g)
+
+    @pytest.mark.parametrize(
+        "g, payload",
+        [
+            # read as integers, true would be node 1 and this would recheck
+            (cycle(4), {
+                "method": "structural",
+                "verdict": False,
+                "obstruction_kind": "cycle4",
+                "obstruction_nodes": [True, 2, 3, 4],
+            }),
+            (complete(3), {
+                "method": "cliques",
+                "verdict": True,
+                "cover": [{"clique": [1, 2, 3], "row": True}],
+            }),
+        ],
+        ids=["boolean-in-list", "boolean-cover-row"],
+    )
+    def test_json_booleans_are_not_integers(self, g, payload):
+        with pytest.raises(ParseError):
+            recheck_certificate(payload, graph=g)
 
     def test_wrong_input_rejected(self):
         m = closed_neighbourhood_matrix(web(6, 2))
