@@ -74,8 +74,16 @@ def _branch_and_bound(g: Graph, k: int, unit_values: bool) -> SolveResult:
       passed down the recursion: it starts at ``n * k`` and each assignment
       takes ``t * |N[u]|`` from it.
     * ``capped`` is the sum of the value caps of the nodes still to assign,
-      a node's cap being the least residual over its closed neighbourhood.
-      The sum stops as soon as it settles the comparison.
+      a node's cap being the least of ``top`` and the residuals over its
+      closed neighbourhood.  Value t at depth i lowers the residuals of
+      ``rows[i]`` only, so the cap of a later row j is ``min(a_j, b_j - t)``:
+      ``a_j`` is the least of ``top`` and the residuals of row j outside
+      ``rows[i]``, and ``b_j`` the least of ``2 * top`` and the residuals
+      inside it.  As ``t <= top`` and ``a_j <= top``, a ``b_j`` of
+      ``2 * top`` leaves the cap at ``a_j``, as for a row that misses
+      ``rows[i]``.  Neither value depends on t, so each node computes the
+      pair of row j once, when a child's sum first reaches it.
+      The sum runs in depth order and stops as soon as it exceeds ``need``.
 
     Once more than ``SOLVER_EXPLORED_CAP`` children have been tried the search
     raises ``CapExceededError``.
@@ -87,30 +95,25 @@ def _branch_and_bound(g: Graph, k: int, unit_values: bool) -> SolveResult:
     explored_cap = SOLVER_EXPLORED_CAP
     n = g.n
     order = sorted(g.nodes(), key=lambda v: (-g.degree(v), v))
-    # per depth: the 0-based rows of N[order[i]], i.e. the constraints it enters
-    rows = [[v - 1 for v in _bits(g.closed_mask(u))] for u in order]
+    # per depth: the 0-based rows of N[order[i]], i.e. the constraints it
+    # enters, as a list and as a mask with bit v set for row v
+    masks = [g.closed_mask(u) for u in order]
+    rows = [[v - 1 for v in _bits(mask)] for mask in masks]
     # smallest closed neighbourhood among nodes still to assign, per depth
     min_suffix_size = [len(row) for row in rows]
     for i in range(n - 2, -1, -1):
         min_suffix_size[i] = min(min_suffix_size[i], min_suffix_size[i + 1])
-    # rows[j:] per depth j, built once so that no child copies a slice
-    suffix_rows = [rows[i:] for i in range(n + 1)]
     top = 1 if unit_values else k
+    # b_j of a row that misses rows[i].  It must be at least a_j + top, so
+    # that min(a_j, b_j - t) stays a_j for every t; k + 1 would cut the caps
+    # of the integer variant below their true value once t >= 2
+    misses = 2 * top
     residual = [k] * n
     at = residual.__getitem__
     assignment = [0] * n
     best_value = -1
     best: tuple[int, ...] | None = None
     explored = 0
-
-    def caps_exceed(j: int, need: int) -> bool:
-        # do the value caps of the nodes from depth j on sum to over need?
-        capped = 0
-        for row in suffix_rows[j]:
-            capped += min(top, *map(at, row))
-            if capped > need:
-                return True
-        return False
 
     def dfs(i: int, total: int, slack: int) -> None:
         nonlocal best_value, best, explored
@@ -121,6 +124,10 @@ def _branch_and_bound(g: Graph, k: int, unit_values: bool) -> SolveResult:
             return
         row = rows[i]
         size = len(row)
+        mask = masks[i]
+        # (a_j, b_j) of rows i+1, i+2, ..., filled as the children reach them;
+        # every searched child restores the residuals, so the pairs hold for all
+        pairs = []
         for t in range(min(top, *map(at, row)), -1, -1):
             explored += 1
             if explored > explored_cap:
@@ -131,15 +138,40 @@ def _branch_and_bound(g: Graph, k: int, unit_values: bool) -> SolveResult:
             # >= 0, and both are 0 once no node is left
             need = best_value - total - t
             child_slack = slack - t * size
-            if need >= 0 and (
-                i + 1 == n or child_slack // min_suffix_size[i + 1] <= need
-            ):
-                continue
+            if need >= 0:
+                if i + 1 == n or child_slack // min_suffix_size[i + 1] <= need:
+                    continue
+                capped = 0
+                for a, b in pairs:
+                    b -= t
+                    capped += a if a < b else b
+                    if capped > need:
+                        break
+                else:
+                    for j in range(i + 1 + len(pairs), n):
+                        a = top
+                        b = misses
+                        if masks[j] & mask:
+                            for v in rows[j]:
+                                r = residual[v]
+                                if mask >> v & 1:
+                                    if r < b:
+                                        b = r
+                                elif r < a:
+                                    a = r
+                        else:
+                            a = min(a, *map(at, rows[j]))
+                        pairs.append((a, b))
+                        b -= t
+                        capped += a if a < b else b
+                        if capped > need:
+                            break
+                    else:
+                        continue  # every later cap counted: capped <= need
             for v in row:
                 residual[v] -= t
-            if need < 0 or caps_exceed(i + 1, need):
-                assignment[i] = t
-                dfs(i + 1, total + t, child_slack)
+            assignment[i] = t
+            dfs(i + 1, total + t, child_slack)
             for v in row:
                 residual[v] += t
 

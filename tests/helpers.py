@@ -3,11 +3,14 @@
 import itertools
 from fractions import Fraction
 
+import kpacking.solver
 from kpacking import (
     BinaryMatrix,
     CapExceededError,
     Graph,
+    PackingFunction,
     RationalPoint,
+    SolveResult,
     find_induced_cycle,
     is_isomorphic,
     three_sun,
@@ -198,3 +201,76 @@ def tight_constraint_rank(m: BinaryMatrix, point: RationalPoint) -> int:
         rank += 1
     return rank
 
+
+
+def reference_branch_and_bound(g: Graph, k: int, unit_values: bool) -> SolveResult:
+    """The branch-and-bound search with the value caps summed from the
+    residuals for every child: same node order, child order, pruning rule
+    and caps as ``solver._branch_and_bound``, so the two must agree on the
+    optimum, the witness and the explored count.
+    """
+    if k < 1:
+        raise ValueError("the packing bound k must be a positive integer")
+    if g.n > kpacking.solver.SOLVER_NODE_CAP:
+        raise CapExceededError("solver node cap")
+    explored_cap = kpacking.solver.SOLVER_EXPLORED_CAP
+    n = g.n
+    order = sorted(g.nodes(), key=lambda v: (-g.degree(v), v))
+    rows = [[v - 1 for v in _bits(g.closed_mask(u))] for u in order]
+    min_suffix_size = [len(row) for row in rows]
+    for i in range(n - 2, -1, -1):
+        min_suffix_size[i] = min(min_suffix_size[i], min_suffix_size[i + 1])
+    suffix_rows = [rows[i:] for i in range(n + 1)]
+    top = 1 if unit_values else k
+    residual = [k] * n
+    at = residual.__getitem__
+    assignment = [0] * n
+    best_value = -1
+    best = None
+    explored = 0
+
+    def caps_exceed(j, need):
+        capped = 0
+        for row in suffix_rows[j]:
+            capped += min(top, *map(at, row))
+            if capped > need:
+                return True
+        return False
+
+    def dfs(i, total, slack):
+        nonlocal best_value, best, explored
+        if i == n:
+            if total > best_value:
+                best_value = total
+                best = tuple(assignment)
+            return
+        row = rows[i]
+        size = len(row)
+        for t in range(min(top, *map(at, row)), -1, -1):
+            explored += 1
+            if explored > explored_cap:
+                raise CapExceededError(f"solver explored more than {explored_cap} nodes")
+            need = best_value - total - t
+            child_slack = slack - t * size
+            if need >= 0 and (
+                i + 1 == n or child_slack // min_suffix_size[i + 1] <= need
+            ):
+                continue
+            for v in row:
+                residual[v] -= t
+            if need < 0 or caps_exceed(i + 1, need):
+                assignment[i] = t
+                dfs(i + 1, total + t, child_slack)
+            for v in row:
+                residual[v] += t
+
+    dfs(0, 0, n * k)
+    values = [0] * n
+    for i, v in enumerate(order):
+        values[v - 1] = best[i]
+    return SolveResult(
+        optimum=best_value,
+        witness=PackingFunction(tuple(values), k),
+        node_order=tuple(order),
+        explored=explored,
+    )

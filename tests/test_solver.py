@@ -13,6 +13,7 @@ from kpacking import (
     PackingFunction,
     check_scaling_identity,
     clique_cycle_family,
+    complement,
     complete,
     cycle,
     enumerate_connected_graphs,
@@ -28,7 +29,8 @@ from kpacking import (
     wheel,
 )
 
-from strategies import connected_graphs
+from helpers import reference_branch_and_bound
+from strategies import connected_graphs, graphs
 
 
 class TestPackingFunction:
@@ -107,6 +109,11 @@ SEARCH_TREES = [
     ("three_sun", three_sun(), 2, (3, 42), (3, 34)),
     ("clique_cycle(2)", clique_cycle_family(2), 2, (5, 138), (5, 110)),
     ("web(9,2)", web(9, 2), 3, (5, 60), (5, 14)),
+    # sparse at high k: most later rows miss the assigned node's row
+    ("cycle(13)", cycle(13), 5, (21, 29002), (13, 26)),
+    # dense: most later rows meet it
+    ("web(12,2)", web(12, 2), 3, (7, 392), (7, 44)),
+    ("wheel(14)", wheel(14), 3, (3, 1027), (3, 737)),
 ]
 
 
@@ -119,6 +126,26 @@ def test_search_tree_is_pinned(g, k, kpf, limited):
     assert (res.optimum, res.explored) == kpf
     res = solve_limited_packing(g, k)
     assert (res.optimum, res.explored) == limited
+
+
+@given(graphs(max_nodes=10), st.booleans(), st.integers(1, 4))
+@settings(max_examples=120, deadline=None)
+def test_search_matches_the_reference_search(g, dense, k):
+    # The solver computes each later row's cap as min(a_j, b_j - t) from pairs
+    # made once per node, where the reference takes the least residual over
+    # the row for every child.  A b_j below a_j + top for a row that misses
+    # the assigned row gives caps that are too low: with k + 1 in its place
+    # the integer variant pruned optimal children, and check_scaling_identity
+    # raised ConsistencyError.  The complement of a sparse draw is dense, so
+    # that most later rows meet the assigned one.
+    if dense:
+        g = complement(g)
+    for solve, unit_values in ((solve_kpf, False), (solve_limited_packing, True)):
+        got = solve(g, k)
+        want = reference_branch_and_bound(g, k, unit_values)
+        assert (got.optimum, got.explored, got.witness.values, got.node_order) == (
+            want.optimum, want.explored, want.witness.values, want.node_order,
+        )
 
 
 class TestSolverAgainstBruteForce:
