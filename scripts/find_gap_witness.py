@@ -39,16 +39,30 @@ def run(config: SearchConfig) -> int:
     return found
 
 
+def budget_list(text: str) -> tuple[int, ...]:
+    """argparse type for ``--k``: comma-separated positive integers."""
+    try:
+        budgets = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        budgets = ()
+    if not budgets or min(budgets) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated positive integers, got {text!r}"
+        )
+    return budgets
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--min-n", type=int, default=2)
     parser.add_argument("--max-n", type=int, default=5)
-    parser.add_argument("--k", default="2,3,4", help="comma-separated budgets")
+    parser.add_argument(
+        "--k", type=budget_list, default=(2, 3, 4), help="comma-separated budgets"
+    )
     parser.add_argument("--limit", type=int, default=10)
     args = parser.parse_args()
-    budgets = tuple(int(x) for x in args.k.split(","))
     config = SearchConfig(
-        min_nodes=args.min_n, max_nodes=args.max_n, budgets=budgets, limit=args.limit
+        min_nodes=args.min_n, max_nodes=args.max_n, budgets=args.k, limit=args.limit
     )
     found = run(config)
     if not found:

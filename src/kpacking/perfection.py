@@ -1,6 +1,7 @@
 """Perfection oracles: odd hole search for graphs, exact vertex enumeration
-for the polytope {x in [0,1]^n : Mx <= 1}, and the combined verdict for a
-graph's closed neighbourhood matrix.
+for the polytope {x in [0,1]^n : Mx <= 1} and the facts read from its
+fractional supports, and the combined verdict for a graph's closed
+neighbourhood matrix.
 
 All arithmetic on polytope data is exact: each candidate basis is solved by
 Gauss-Jordan elimination over the integers, and coordinates are returned as
@@ -107,8 +108,15 @@ def _eliminate(rows: list[list[int]], width: int) -> list[int]:
     return pivots
 
 
-def polytope_vertices(m: BinaryMatrix) -> tuple[RationalPoint, ...]:
-    """Exact vertex set of {x in [0,1]^n : Mx <= 1}, sorted coordinatewise.
+def _fractional_supports(m: BinaryMatrix):
+    """Pass 1 of the vertex enumeration, in integers only.
+
+    Returns ``(conflict, den, fractional)``.  ``conflict[j - 1]`` masks the
+    columns that share a row with column j.  ``fractional`` holds one entry
+    ``(F, columns of F, solutions)`` per support F (|F| >= 2, as a column
+    mask) that has a strictly fractional solution; each solution lists its
+    integer numerators on the columns of F, all over the one common
+    denominator ``den``.  No ``Fraction`` is made.
 
     Every vertex splits its coordinates into ones (O), zeros and a strictly
     fractional part (F).  Feasibility forces O to meet each row at most once
@@ -117,17 +125,12 @@ def polytope_vertices(m: BinaryMatrix) -> tuple[RationalPoint, ...]:
     binding the fractional part, and hence its solutions, depend on F alone.
     F must satisfy |F| independent tight rows, and a row whose restriction to
     F is a strict subset of another's can never be tight (the superset row
-    would overflow).  The enumeration makes two passes:
-
-    1. Each support F (|F| >= 2) is scanned once.  Every full-rank subsystem
-       drawn from its maximal restricted rows pins a unique rational solution,
-       read as integer numerators over one common denominator; the
-       strict-interior and feasibility checks run on those integers.
-    2. Each row-compatible one-set O gives its 0/1 point, plus one vertex per
-       solution of every support F that misses the columns O fixes.
+    would overflow).  Each support is scanned once: every full-rank subsystem
+    drawn from its maximal restricted rows pins a unique rational solution,
+    and the strict-interior and feasibility checks run on its numerators.
 
     Raises ``CapExceededError`` above ``VERTEX_ENUMERATION_COLUMN_CAP``
-    columns, since pass 1 scans all 2**n supports.
+    columns, since all 2**n supports are scanned.
     """
     cap = VERTEX_ENUMERATION_COLUMN_CAP
     if m.cols > cap:
@@ -139,8 +142,8 @@ def polytope_vertices(m: BinaryMatrix) -> tuple[RationalPoint, ...]:
         for j in _bits(mk):
             conflict[j - 1] |= mk & ~_bit(j)
 
-    # pass 1: (F, its columns, its fractional solutions) per support with any
-    fractional: list[tuple[int, tuple[int, ...], list[list[Fraction]]]] = []
+    # (F, its columns, its solutions as (numerators, denominator)) per support
+    fractional: list[tuple[int, tuple[int, ...], set[tuple[tuple[int, ...], int]]]] = []
     for fmask in range(3, 1 << n):
         size = fmask.bit_count()
         if size < 2:
@@ -187,11 +190,30 @@ def polytope_vertices(m: BinaryMatrix) -> tuple[RationalPoint, ...]:
                 continue
             solutions.add((nums, den))
         if solutions:
-            points = [[Fraction(a, den) for a in nums] for nums, den in solutions]
-            fractional.append((fmask, cols, points))
+            fractional.append((fmask, cols, solutions))
+    den = math.lcm(1, *(d for _, _, sols in fractional for _, d in sols))
+    return conflict, den, [
+        (fmask, cols, [[a * (den // d) for a in nums] for nums, d in sols])
+        for fmask, cols, sols in fractional
+    ]
 
-    zero, one = Fraction(0), Fraction(1)
-    found: list[tuple[Fraction, ...]] = []
+
+def polytope_vertices(m: BinaryMatrix) -> tuple[RationalPoint, ...]:
+    """Exact vertex set of {x in [0,1]^n : Mx <= 1}, sorted coordinatewise.
+
+    Built on ``_fractional_supports``: each row-compatible one-set O gives its
+    0/1 point, plus one vertex per solution of every support F that misses
+    the columns O fixes.  The vertices are listed and sorted as integer
+    tuples over one common denominator; the ``Fraction`` coordinates are made
+    after the sort.  ``perfection_report`` and ``is_perfect_matrix`` need no
+    listing and read their facts from the supports directly.
+
+    Raises ``CapExceededError`` above ``VERTEX_ENUMERATION_COLUMN_CAP``
+    columns.
+    """
+    conflict, den, fractional = _fractional_supports(m)
+    n = m.cols
+    found: list[tuple[int, ...]] = []
 
     def one_sets(start: int, chosen: int):
         yield chosen
@@ -199,38 +221,86 @@ def polytope_vertices(m: BinaryMatrix) -> tuple[RationalPoint, ...]:
             if not conflict[j - 1] & chosen:
                 yield from one_sets(j + 1, chosen | _bit(j))
 
-    # pass 2: every vertex is one one-set plus at most one solution
+    # every vertex is one one-set plus at most one solution
     for ones in one_sets(1, 0):
-        base = [zero] * n
+        base = [0] * n
         blocked = ones
         for j in _bits(ones):
-            base[j - 1] = one
+            base[j - 1] = den
             blocked |= conflict[j - 1]
         found.append(tuple(base))
         for fmask, cols, points in fractional:
             if fmask & blocked:
                 continue
-            for coords in points:
-                for j, c in zip(cols, coords):
-                    base[j - 1] = c
+            for nums in points:
+                for j, a in zip(cols, nums):
+                    base[j - 1] = a
                 found.append(tuple(base))
             for j in cols:
-                base[j - 1] = zero
+                base[j - 1] = 0
 
     found.sort()
-    return tuple(RationalPoint(coords) for coords in found)
+    numerators = {0, den}
+    for _, _, points in fractional:
+        for nums in points:
+            numerators.update(nums)
+    # one Fraction per distinct numerator, shared by every vertex using it
+    coord = {a: Fraction(a, den) for a in numerators}
+    return tuple(RationalPoint(tuple(map(coord.__getitem__, v))) for v in found)
+
+
+def _polytope_facts(m: BinaryMatrix) -> tuple[RationalPoint | None, Fraction]:
+    """(first fractional vertex in sorted order or None, largest coordinate
+    sum) of {x in [0,1]^n : Mx <= 1}, read from ``_fractional_supports``
+    without listing any vertex.
+
+    The empty one-set blocks nothing, so every support solution padded with
+    zeros is a vertex, and a vertex with ones O is coordinatewise at least
+    the one without them: the least padded solution is the first fractional
+    vertex.  A one-set O fits a support F exactly when O avoids cl(F), the
+    columns of F and those sharing a row with F.  With rho[S] the most
+    pairwise row-disjoint columns inside S, the largest sum is therefore
+    max(rho[all], max over F of (best solution sum of F + rho[not cl(F)])).
+    """
+    conflict, den, fractional = _fractional_supports(m)
+    n = m.cols
+    full = (1 << n) - 1
+    # rho over every column mask, doubled one column j at a time: for a mask s
+    # of earlier columns, rho[s with j] = max(rho[s], 1 + rho[s without j's
+    # conflicts]); rho is monotone, so that is rho[s] plus one exactly when the
+    # two rho values are equal
+    rho = [0]
+    for mk in conflict:
+        rho += [r + (r == rho[s & ~mk]) for s, r in enumerate(rho)]
+    best = rho[full] * den
+    first = None
+    for fmask, cols, points in fractional:
+        closure = fmask
+        for j in cols:
+            closure |= conflict[j - 1]
+        rest = rho[full & ~closure] * den
+        for nums in points:
+            best = max(best, sum(nums) + rest)
+            padded = [0] * n
+            for j, a in zip(cols, nums):
+                padded[j - 1] = a
+            if first is None or padded < first:
+                first = padded
+    unit_relaxation = Fraction(best, den)
+    if first is None:
+        return None, unit_relaxation
+    return RationalPoint(tuple(Fraction(a, den) for a in first)), unit_relaxation
 
 
 def is_perfect_matrix(m: BinaryMatrix):
     """(verdict, witness): true iff every vertex of the polytope is a 0/1
     point; otherwise the first fractional vertex in sorted order is returned.
+    Both come from ``_polytope_facts``; no vertex list is built.
     """
     if m.has_zero_column():
         raise ZeroColumnError("matrix perfection undefined with a zero column")
-    for point in polytope_vertices(m):
-        if not point.is_integral():
-            return False, point
-    return True, None
+    fractional, _ = _polytope_facts(m)
+    return fractional is None, fractional
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +313,17 @@ class PerfectionReport:
 
     ``neighbourhood_matrix_perfect`` is the membership verdict: the matrix is
     an extended clique-node matrix and its column intersection graph is
-    perfect.  ``matrix_perfect`` is the independent polytope cross-check.
-    ``unit_relaxation`` is the largest coordinate sum over the same vertex
-    set, the exact optimum of the linear relaxation at k = 1; the optimum at
-    k is k times it.  Both are None when the graph exceeds the vertex
-    enumeration cap.  The structural screen's verdict is reported but never
-    enforced; it is known to disagree on some graphs (first at 6 nodes).
+    perfect.  ``matrix_perfect`` is the independent polytope cross-check:
+    true iff no support of the polytope has a fractional solution.
+    ``fractional_vertex`` is the first fractional vertex in sorted order, the
+    least such solution padded with zeros.  ``unit_relaxation`` is the
+    largest coordinate sum over the vertices, the exact optimum of the linear
+    relaxation at k = 1 (the optimum at k is k times it), taken from the
+    support solutions and a table of the largest one-sets.  All three come
+    from ``_polytope_facts`` without listing any vertex, and are None when the
+    graph exceeds the vertex enumeration cap.  The structural screen's
+    verdict is reported but never enforced; it is known to disagree on some
+    graphs (first at 6 nodes).
     """
 
     extended_clique_node: bool
@@ -293,10 +368,8 @@ def perfection_report(g: Graph) -> PerfectionReport:
     fractional = None
     unit_relaxation = None
     if g.n <= VERTEX_ENUMERATION_COLUMN_CAP:
-        vertices = polytope_vertices(m)
-        fractional = next((p for p in vertices if not p.is_integral()), None)
+        fractional, unit_relaxation = _polytope_facts(m)
         matrix_verdict = fractional is None
-        unit_relaxation = max(p.coordinate_sum() for p in vertices)
         if matrix_verdict != member:
             raise ConsistencyError(
                 "polytope check disagrees with combined verdict: "

@@ -256,9 +256,11 @@ def lp_relaxation(g: Graph, k: int):
     if k < 1:
         raise ValueError("the packing bound k must be a positive integer")
     vertices = polytope_vertices(closed_neighbourhood_matrix(g))
-    best_point = max(vertices, key=lambda p: p.coordinate_sum())
     # max() keeps the first maximizer of the sorted vertex list: deterministic
-    return k * best_point.coordinate_sum(), best_point
+    best_sum, best_point = max(
+        ((p.coordinate_sum(), p) for p in vertices), key=lambda pair: pair[0]
+    )
+    return k * best_sum, best_point
 
 
 # ---------------------------------------------------------------------------

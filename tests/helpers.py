@@ -13,6 +13,7 @@ from kpacking import (
     SolveResult,
     find_induced_cycle,
     is_isomorphic,
+    polytope_vertices,
     three_sun,
 )
 from kpacking.graphs import _bit, _bits
@@ -201,6 +202,15 @@ def tight_constraint_rank(m: BinaryMatrix, point: RationalPoint) -> int:
         rank += 1
     return rank
 
+
+def reference_polytope_facts(m: BinaryMatrix):
+    """(verdict, first fractional vertex or None, largest coordinate sum),
+    read off the full sorted vertex list of ``polytope_vertices``: the
+    polytope is integral iff no vertex is fractional.
+    """
+    vertices = polytope_vertices(m)
+    fractional = next((p for p in vertices if not p.is_integral()), None)
+    return fractional is None, fractional, max(p.coordinate_sum() for p in vertices)
 
 
 def reference_branch_and_bound(g: Graph, k: int, unit_values: bool) -> SolveResult:

@@ -51,6 +51,18 @@ def binary_matrices(draw, max_rows=5, max_cols=5):
 
 
 @st.composite
+def any_binary_matrices(draw, max_rows=12, max_cols=10):
+    """Binary matrix of any shape.  Zero rows and repeated rows are drawn on
+    purpose; zero columns can occur too.
+    """
+    cols = draw(st.integers(1, max_cols))
+    masks = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=1, max_size=max_rows))
+    masks += draw(st.lists(st.sampled_from([0, *masks]), max_size=3))
+    masks = draw(st.permutations(masks))
+    return BinaryMatrix(len(masks), cols, tuple(masks))
+
+
+@st.composite
 def joined_graphs(draw, min_nodes=7, max_nodes=12):
     """Connected graph made of small connected pieces, each joined to the next
     by one edge.  Pieces are dense more often than whole random graphs are, so

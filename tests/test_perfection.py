@@ -26,8 +26,8 @@ from kpacking import (
     wheel,
 )
 
-from helpers import tight_constraint_rank
-from strategies import binary_matrices, connected_graphs
+from helpers import reference_polytope_facts, tight_constraint_rank
+from strategies import any_binary_matrices, binary_matrices, connected_graphs, graphs
 
 
 def bareiss_determinant(a):
@@ -173,6 +173,42 @@ class TestPerfectMatrix:
     def test_zero_column_rejected(self):
         with pytest.raises(ZeroColumnError):
             is_perfect_matrix(BinaryMatrix.from_rows([[1, 0], [1, 0]]))
+
+
+class TestPolytopeFacts:
+    """The report's polytope facts, read from the fractional supports alone,
+    against the same facts read off the full sorted vertex list."""
+
+    @staticmethod
+    def report_facts(g):
+        rep = perfection_report(g)
+        return rep.matrix_perfect, rep.fractional_vertex, rep.unit_relaxation
+
+    @given(graphs(max_nodes=10))
+    @settings(max_examples=60, deadline=None)
+    def test_report_and_matrix_verdict_on_graphs(self, g):
+        for h in (g, complement(g)):
+            m = closed_neighbourhood_matrix(h)
+            expected = reference_polytope_facts(m)
+            assert self.report_facts(h) == expected
+            assert is_perfect_matrix(m) == expected[:2]
+
+    @given(any_binary_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_matrices_of_any_shape(self, m):
+        verdict, fractional, unit = reference_polytope_facts(m)
+        assert kpacking.perfection._polytope_facts(m) == (fractional, unit)
+        if m.has_zero_column():
+            with pytest.raises(ZeroColumnError):
+                is_perfect_matrix(m)
+        else:
+            assert is_perfect_matrix(m) == (verdict, fractional)
+
+    def test_connected_census_to_seven_nodes(self):
+        for n in range(1, 8):
+            for g in enumerate_connected_graphs(n):
+                m = closed_neighbourhood_matrix(g)
+                assert self.report_facts(g) == reference_polytope_facts(m), g.edges()
 
 
 class TestOddHoles:

@@ -9,16 +9,17 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 def run_script(monkeypatch, capsys, name, *args):
     """Run ``scripts/<name>`` as ``__main__`` in this process; return
-    (exit code, stdout)."""
+    (exit code, stdout, stderr)."""
     monkeypatch.setattr(sys, "argv", [name, *args])
     with pytest.raises(SystemExit) as exit_info:
         runpy.run_path(str(SCRIPTS / name), run_name="__main__")
-    return exit_info.value.code, capsys.readouterr().out
+    captured = capsys.readouterr()
+    return exit_info.value.code, captured.out, captured.err
 
 
 class TestFindGapWitness:
     def test_first_witnesses(self, monkeypatch, capsys):
-        code, out = run_script(
+        code, out, _ = run_script(
             monkeypatch, capsys, "find_gap_witness.py", "--max-n", "4", "--limit", "3"
         )
         assert code == 0
@@ -30,9 +31,17 @@ class TestFindGapWitness:
 
     def test_empty_range(self, monkeypatch, capsys):
         # at k = 1 both variants are the same problem, so nothing can differ
-        code, out = run_script(
+        code, out, _ = run_script(
             monkeypatch, capsys, "find_gap_witness.py",
             "--min-n", "1", "--max-n", "1", "--k", "1",
         )
         assert code == 1
         assert out == "no gap witnesses in range\n"
+
+    @pytest.mark.parametrize("args", [("--k", "0", "--max-n", "2"), ("--k", "x")])
+    def test_bad_budgets_are_usage_errors(self, monkeypatch, capsys, args):
+        code, out, err = run_script(monkeypatch, capsys, "find_gap_witness.py", *args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: find_gap_witness.py")
+        assert "argument --k: expected comma-separated positive integers" in err
