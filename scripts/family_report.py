@@ -2,11 +2,10 @@
 """Tabulate recognition and packing verdicts across the built-in families."""
 
 import argparse
-from dataclasses import dataclass
 
 from kpacking import FamilySpec, Graph, perfection_report, scaling_reports
 
-DEFAULT_ROWS = (
+ROWS = (
     ("complete", (5,)),
     ("cycle", (4,)),
     ("cycle", (5,)),
@@ -26,31 +25,25 @@ DEFAULT_ROWS = (
 )
 
 
-@dataclass(frozen=True)
-class ReportConfig:
-    k: int = 3
-    rows: tuple = DEFAULT_ROWS
-
-
 def flag(value) -> str:
     if value is None:
         return "-"
     return "yes" if value else "no"
 
 
-def run(config: ReportConfig) -> None:
+def run(k: int) -> None:
     header = (
         f"{'family':<16} {'accepted':>8} {'gq_perf':>7} {'member':>6} "
         f"{'screen':>6} {'l1':>3} {'kpf':>4} {'k*l1':>4} {'lp':>6}"
     )
     print(header)
     print("-" * len(header))
-    for name, params in config.rows:
+    for name, params in ROWS:
         built = FamilySpec(name, params).build()
         if not isinstance(built, Graph):
             continue
         rep = perfection_report(built)
-        (scaling,) = scaling_reports(built, (config.k,), rep)
+        (scaling,) = scaling_reports(built, (k,), rep)
         label = name if not params else f"{name}({','.join(map(str, params))})"
         print(
             f"{label:<16} {flag(rep.extended_clique_node):>8} "
@@ -62,11 +55,22 @@ def run(config: ReportConfig) -> None:
         )
 
 
+def positive_int(text: str) -> int:
+    """argparse type for ``--k``: one positive integer."""
+    try:
+        k = int(text)
+    except ValueError:
+        k = 0
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return k
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--k", type=int, default=3)
+    parser.add_argument("--k", type=positive_int, default=3)
     args = parser.parse_args()
-    run(ReportConfig(k=args.k))
+    run(args.k)
     return 0
 
 

@@ -40,7 +40,6 @@ from .graphs import (
 )
 from .perfection import (
     PerfectionReport,
-    RationalPoint,
     find_odd_hole,
     is_perfect_graph,
     is_perfect_matrix,

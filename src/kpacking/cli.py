@@ -141,7 +141,7 @@ def _cmd_solve(args) -> int:
             raise ValueError("--oracle applies to the integer variants only")
         value, point = lp_relaxation(g, args.k)
         body["optimum"] = _rat(value)
-        body["witness"] = {"unit_vertex": list(point.as_strings())}
+        body["witness"] = {"unit_vertex": list(map(_rat, point))}
     else:
         solve = solve_kpf if args.variant == "kpf" else solve_limited_packing
         result = solve(g, args.k)
@@ -226,7 +226,7 @@ def _verdict_sections(rep: PerfectionReport) -> dict:
             "fractional_vertex": (
                 None
                 if rep.fractional_vertex is None
-                else list(rep.fractional_vertex.as_strings())
+                else list(map(_rat, rep.fractional_vertex))
             ),
         },
     }
@@ -243,11 +243,11 @@ def _cmd_perfection(args) -> int:
         body = {
             "matrix_perfect": verdict,
             "fractional_vertex": (
-                None if fractional is None else list(fractional.as_strings())
+                None if fractional is None else list(map(_rat, fractional))
             ),
         }
     if args.emit_vertices:
-        body["vertices"] = [list(p.as_strings()) for p in polytope_vertices(m)]
+        body["vertices"] = [list(map(_rat, p)) for p in polytope_vertices(m)]
     _emit(args, "perfection", descriptor, body)
     return 0
 
@@ -429,8 +429,10 @@ def _cmd_verify(args) -> int:
     runner, default_n, default_k = _SUITES[args.suite]
     if args.max_n is None:
         args.max_n = default_n
+    if default_k is None and args.k is not None:
+        raise ValueError(f"the {args.suite} suite takes no --k")
     if args.k is None:
-        args.k = default_k if default_k is not None else [1]
+        args.k = default_k or []
     lines: list[str] = []
     ok = runner(args, lines.append)
     sys.stdout.write(f"suite: {args.suite}\n")

@@ -37,25 +37,6 @@ ODD_HOLE_NODE_CAP = 16
 VERTEX_ENUMERATION_COLUMN_CAP = 10
 
 
-@dataclass(frozen=True)
-class RationalPoint:
-    """A point with exact rational coordinates, kept in lowest terms."""
-
-    coords: tuple[Fraction, ...]
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
-
-    def coordinate_sum(self) -> Fraction:
-        den = math.lcm(*(c.denominator for c in self.coords))
-        return Fraction(
-            sum(c.numerator * (den // c.denominator) for c in self.coords), den
-        )
-
-    def as_strings(self) -> tuple[str, ...]:
-        return tuple(f"{c.numerator}/{c.denominator}" for c in self.coords)
-
-
 def find_odd_hole(g: Graph):
     """First induced odd cycle of length >= 5 in the deterministic search
     order, or None.  Graphs above the node cap are rejected.
@@ -109,25 +90,29 @@ def _eliminate(rows: list[list[int]], width: int) -> list[int]:
 
 
 def _fractional_supports(m: BinaryMatrix):
-    """Pass 1 of the vertex enumeration, in integers only.
+    """The vertex enumeration's one pass over the supports, in integers only.
 
-    Returns ``(conflict, den, fractional)``.  ``conflict[j - 1]`` masks the
-    columns that share a row with column j.  ``fractional`` holds one entry
-    ``(F, columns of F, solutions)`` per support F (|F| >= 2, as a column
-    mask) that has a strictly fractional solution; each solution lists its
-    integer numerators on the columns of F, all over the one common
-    denominator ``den``.  No ``Fraction`` is made.
+    Returns ``(conflict, den, starts)``.  ``conflict[j - 1]`` masks the
+    columns that share a row with column j.  Each start is ``(numerators,
+    their sum, free)``: a point as n integer numerators over the one common
+    denominator ``den``, and the mask of the columns that may still be set to
+    one.  The first start is the zero point with every column free; then
+    comes every strictly fractional solution of every support F (|F| >= 2),
+    padded with zeros, whose free columns are those outside F sharing no row
+    with F.  No ``Fraction`` is made.
 
     Every vertex splits its coordinates into ones (O), zeros and a strictly
     fractional part (F).  Feasibility forces O to meet each row at most once
     and zeroes out every column sharing a row with O.  A row that meets O
     therefore lies inside those zeroed columns and never meets F, so the rows
     binding the fractional part, and hence its solutions, depend on F alone.
-    F must satisfy |F| independent tight rows, and a row whose restriction to
-    F is a strict subset of another's can never be tight (the superset row
-    would overflow).  Each support is scanned once: every full-rank subsystem
-    drawn from its maximal restricted rows pins a unique rational solution,
-    and the strict-interior and feasibility checks run on its numerators.
+    So the vertices are exactly the starts plus each row-compatible one-set
+    of their free columns.  F must satisfy |F| independent tight rows, and a
+    row whose restriction to F is a strict subset of another's can never be
+    tight (the superset row would overflow).  Each support is scanned once:
+    every full-rank subsystem drawn from its maximal restricted rows pins a
+    unique rational solution, and the strict-interior and feasibility checks
+    run on its numerators.
 
     Raises ``CapExceededError`` above ``VERTEX_ENUMERATION_COLUMN_CAP``
     columns, since all 2**n supports are scanned.
@@ -192,79 +177,70 @@ def _fractional_supports(m: BinaryMatrix):
         if solutions:
             fractional.append((fmask, cols, solutions))
     den = math.lcm(1, *(d for _, _, sols in fractional for _, d in sols))
-    return conflict, den, [
-        (fmask, cols, [[a * (den // d) for a in nums] for nums, d in sols])
-        for fmask, cols, sols in fractional
-    ]
+    full = (1 << n) - 1
+    starts = [((0,) * n, 0, full)]
+    for fmask, cols, sols in fractional:
+        closure = fmask
+        for j in cols:
+            closure |= conflict[j - 1]
+        for nums, d in sols:
+            point = [0] * n
+            for j, a in zip(cols, nums):
+                point[j - 1] = a * (den // d)
+            starts.append((tuple(point), sum(point), full & ~closure))
+    return conflict, den, starts
 
 
-def polytope_vertices(m: BinaryMatrix) -> tuple[RationalPoint, ...]:
+def polytope_vertices(m: BinaryMatrix) -> tuple[tuple[Fraction, ...], ...]:
     """Exact vertex set of {x in [0,1]^n : Mx <= 1}, sorted coordinatewise.
 
-    Built on ``_fractional_supports``: each row-compatible one-set O gives its
-    0/1 point, plus one vertex per solution of every support F that misses
-    the columns O fixes.  The vertices are listed and sorted as integer
-    tuples over one common denominator; the ``Fraction`` coordinates are made
-    after the sort.  ``perfection_report`` and ``is_perfect_matrix`` need no
-    listing and read their facts from the supports directly.
+    Each start of ``_fractional_supports`` plus every row-compatible one-set
+    of its free columns is one vertex.  The vertices are listed and sorted as
+    integer tuples over one common denominator; the ``Fraction`` coordinates
+    are made after the sort.  Only ``perfection --emit-vertices`` lists them:
+    the verdict, the report and the relaxation read ``_polytope_facts``.
 
     Raises ``CapExceededError`` above ``VERTEX_ENUMERATION_COLUMN_CAP``
     columns.
     """
-    conflict, den, fractional = _fractional_supports(m)
-    n = m.cols
+    conflict, den, starts = _fractional_supports(m)
     found: list[tuple[int, ...]] = []
 
-    def one_sets(start: int, chosen: int):
-        yield chosen
-        for j in range(start, n + 1):
-            if not conflict[j - 1] & chosen:
-                yield from one_sets(j + 1, chosen | _bit(j))
+    def complete(point: list[int], free: int) -> None:
+        found.append(tuple(point))
+        for j in _bits(free):
+            point[j - 1] = den
+            # later columns only, so each one-set is built once
+            complete(point, (free & ~conflict[j - 1]) >> j << j)
+            point[j - 1] = 0
 
-    # every vertex is one one-set plus at most one solution
-    for ones in one_sets(1, 0):
-        base = [0] * n
-        blocked = ones
-        for j in _bits(ones):
-            base[j - 1] = den
-            blocked |= conflict[j - 1]
-        found.append(tuple(base))
-        for fmask, cols, points in fractional:
-            if fmask & blocked:
-                continue
-            for nums in points:
-                for j, a in zip(cols, nums):
-                    base[j - 1] = a
-                found.append(tuple(base))
-            for j in cols:
-                base[j - 1] = 0
-
+    for point, _, free in starts:
+        complete(list(point), free)
     found.sort()
-    numerators = {0, den}
-    for _, _, points in fractional:
-        for nums in points:
-            numerators.update(nums)
     # one Fraction per distinct numerator, shared by every vertex using it
-    coord = {a: Fraction(a, den) for a in numerators}
-    return tuple(RationalPoint(tuple(map(coord.__getitem__, v))) for v in found)
+    coord = {a: Fraction(a, den) for a in {den}.union(*(p for p, _, _ in starts))}
+    return tuple(tuple(map(coord.__getitem__, v)) for v in found)
 
 
-def _polytope_facts(m: BinaryMatrix) -> tuple[RationalPoint | None, Fraction]:
-    """(first fractional vertex in sorted order or None, largest coordinate
-    sum) of {x in [0,1]^n : Mx <= 1}, read from ``_fractional_supports``
-    without listing any vertex.
+def _polytope_facts(
+    m: BinaryMatrix,
+) -> tuple[tuple[Fraction, ...] | None, Fraction, tuple[Fraction, ...]]:
+    """(first fractional vertex or None, largest coordinate sum, first vertex
+    with that sum) of {x in [0,1]^n : Mx <= 1}, in sorted vertex order and
+    read from the starts of ``_fractional_supports`` without listing any
+    vertex.
 
-    The empty one-set blocks nothing, so every support solution padded with
-    zeros is a vertex, and a vertex with ones O is coordinatewise at least
-    the one without them: the least padded solution is the first fractional
-    vertex.  A one-set O fits a support F exactly when O avoids cl(F), the
-    columns of F and those sharing a row with F.  With rho[S] the most
-    pairwise row-disjoint columns inside S, the largest sum is therefore
-    max(rho[all], max over F of (best solution sum of F + rho[not cl(F)])).
+    A vertex with ones O is coordinatewise at least its start, so the least
+    fractional start is the first fractional vertex.  With rho[S] the most
+    pairwise row-disjoint columns inside S, a start reaches at most its sum
+    plus rho[free] ones, and the largest sum is the best of these.  Among
+    the starts that reach it, each is completed to its least maximizing
+    vertex, column by column: a free column stays 0 while the rest of the
+    free columns still hold rho[free] ones, and otherwise becomes 1 and
+    takes its conflicts out of the free columns.  The least completion is
+    the relaxation witness.
     """
-    conflict, den, fractional = _fractional_supports(m)
-    n = m.cols
-    full = (1 << n) - 1
+    conflict, den, starts = _fractional_supports(m)
     # rho over every column mask, doubled one column j at a time: for a mask s
     # of earlier columns, rho[s with j] = max(rho[s], 1 + rho[s without j's
     # conflicts]); rho is monotone, so that is rho[s] plus one exactly when the
@@ -272,24 +248,28 @@ def _polytope_facts(m: BinaryMatrix) -> tuple[RationalPoint | None, Fraction]:
     rho = [0]
     for mk in conflict:
         rho += [r + (r == rho[s & ~mk]) for s, r in enumerate(rho)]
-    best = rho[full] * den
-    first = None
-    for fmask, cols, points in fractional:
-        closure = fmask
-        for j in cols:
-            closure |= conflict[j - 1]
-        rest = rho[full & ~closure] * den
-        for nums in points:
-            best = max(best, sum(nums) + rest)
-            padded = [0] * n
-            for j, a in zip(cols, nums):
-                padded[j - 1] = a
-            if first is None or padded < first:
-                first = padded
-    unit_relaxation = Fraction(best, den)
-    if first is None:
-        return None, unit_relaxation
-    return RationalPoint(tuple(Fraction(a, den) for a in first)), unit_relaxation
+    best = max(total + rho[free] * den for _, total, free in starts)
+    witness = None
+    for point, total, free in starts:
+        need = rho[free]
+        if total + need * den != best:
+            continue
+        point = list(point)
+        for j in _bits(free):
+            bit = _bit(j)
+            if free & bit and rho[free & ~bit] < need:
+                point[j - 1] = den
+                need -= 1
+                free &= ~conflict[j - 1]
+            free &= ~bit
+        if witness is None or point < witness:
+            witness = point
+    first = min((point for point, _, _ in starts[1:]), default=None)
+    return (
+        None if first is None else tuple(Fraction(a, den) for a in first),
+        Fraction(best, den),
+        tuple(Fraction(a, den) for a in witness),
+    )
 
 
 def is_perfect_matrix(m: BinaryMatrix):
@@ -299,7 +279,7 @@ def is_perfect_matrix(m: BinaryMatrix):
     """
     if m.has_zero_column():
         raise ZeroColumnError("matrix perfection undefined with a zero column")
-    fractional, _ = _polytope_facts(m)
+    fractional = _polytope_facts(m)[0]
     return fractional is None, fractional
 
 
@@ -315,12 +295,13 @@ class PerfectionReport:
     an extended clique-node matrix and its column intersection graph is
     perfect.  ``matrix_perfect`` is the independent polytope cross-check:
     true iff no support of the polytope has a fractional solution.
-    ``fractional_vertex`` is the first fractional vertex in sorted order, the
-    least such solution padded with zeros.  ``unit_relaxation`` is the
-    largest coordinate sum over the vertices, the exact optimum of the linear
-    relaxation at k = 1 (the optimum at k is k times it), taken from the
-    support solutions and a table of the largest one-sets.  All three come
-    from ``_polytope_facts`` without listing any vertex, and are None when the
+    ``fractional_vertex`` is the first fractional vertex in sorted order, as
+    a tuple of ``Fraction`` coordinates: the least such solution padded with
+    zeros.  ``unit_relaxation`` is the largest coordinate sum over the
+    vertices, the exact optimum of the linear relaxation at k = 1 (the
+    optimum at k is k times it), taken from the support solutions and a table
+    of the largest one-sets.  All three come from ``_polytope_facts`` without
+    listing any vertex, as does ``lp_relaxation``, and are None when the
     graph exceeds the vertex enumeration cap.  The structural screen's
     verdict is reported but never enforced; it is known to disagree on some
     graphs (first at 6 nodes).
@@ -330,7 +311,7 @@ class PerfectionReport:
     clique_graph_perfect: bool
     clique_graph_witness: tuple | None
     matrix_perfect: bool | None
-    fractional_vertex: RationalPoint | None
+    fractional_vertex: tuple[Fraction, ...] | None
     unit_relaxation: Fraction | None
     structural_verdict: bool
     structural_agrees: bool
@@ -368,7 +349,7 @@ def perfection_report(g: Graph) -> PerfectionReport:
     fractional = None
     unit_relaxation = None
     if g.n <= VERTEX_ENUMERATION_COLUMN_CAP:
-        fractional, unit_relaxation = _polytope_facts(m)
+        fractional, unit_relaxation, _ = _polytope_facts(m)
         matrix_verdict = fractional is None
         if matrix_verdict != member:
             raise ConsistencyError(

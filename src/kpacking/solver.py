@@ -5,8 +5,8 @@ neighbourhood at most k":
 
 * integer values in {0..k}  (the main invariant, solved by branch and bound)
 * binary values             (the limited variant)
-* rational values in [0,1]^n scaled by k  (the linear relaxation, solved by
-  enumerating polytope vertices exactly)
+* rational values in [0,1]^n scaled by k  (the linear relaxation, read
+  exactly from the fractional supports of the unit polytope)
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from .graphs import Graph, _bits, closed_neighbourhood_matrix
 from .perfection import (
     ODD_HOLE_NODE_CAP,
     PerfectionReport,
+    _polytope_facts,
     perfection_report,
-    polytope_vertices,
 )
 
 SOLVER_NODE_CAP = 24
@@ -251,16 +251,14 @@ def solve_limited_bruteforce(g: Graph, k: int) -> SolveResult:
 
 def lp_relaxation(g: Graph, k: int):
     """Exact optimum of the relaxation: k times the best coordinate sum over
-    the vertices of the unit polytope of N[g].  Returns (value, unit vertex).
+    the vertices of the unit polytope of N[g].  Returns (value, unit vertex),
+    the vertex being the first with the best sum in sorted vertex order.
+    Both come from ``_polytope_facts``; no vertex is listed.
     """
     if k < 1:
         raise ValueError("the packing bound k must be a positive integer")
-    vertices = polytope_vertices(closed_neighbourhood_matrix(g))
-    # max() keeps the first maximizer of the sorted vertex list: deterministic
-    best_sum, best_point = max(
-        ((p.coordinate_sum(), p) for p in vertices), key=lambda pair: pair[0]
-    )
-    return k * best_sum, best_point
+    _, unit, point = _polytope_facts(closed_neighbourhood_matrix(g))
+    return k * unit, point
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from kpacking import (
     CapExceededError,
     Graph,
     PackingFunction,
-    RationalPoint,
     SolveResult,
     find_induced_cycle,
     is_isomorphic,
@@ -170,7 +169,7 @@ def is_totally_balanced(m: BinaryMatrix) -> bool:
     return find_induced_cycle(bip, min_length=6) is None
 
 
-def tight_constraint_rank(m: BinaryMatrix, point: RationalPoint) -> int:
+def tight_constraint_rank(m: BinaryMatrix, point: tuple[Fraction, ...]) -> int:
     """Rank of the constraints the point satisfies with equality (rows at 1,
     coordinates at either bound).  Vertices have rank equal to the dimension.
 
@@ -181,11 +180,11 @@ def tight_constraint_rank(m: BinaryMatrix, point: RationalPoint) -> int:
     rows = [
         [Fraction((mk >> j) & 1) for j in range(n)]
         for mk in m.row_masks
-        if sum(point.coords[j - 1] for j in _bits(mk)) == 1
+        if sum(point[j - 1] for j in _bits(mk)) == 1
     ]
     rows += [
         [Fraction(int(i == j)) for i in range(n)]
-        for j, c in enumerate(point.coords)
+        for j, c in enumerate(point)
         if c == 0 or c == 1
     ]
     rank = 0
@@ -204,13 +203,18 @@ def tight_constraint_rank(m: BinaryMatrix, point: RationalPoint) -> int:
 
 
 def reference_polytope_facts(m: BinaryMatrix):
-    """(verdict, first fractional vertex or None, largest coordinate sum),
-    read off the full sorted vertex list of ``polytope_vertices``: the
-    polytope is integral iff no vertex is fractional.
+    """(verdict, first fractional vertex or None, largest coordinate sum,
+    first vertex with that sum), read off the full sorted vertex list of
+    ``polytope_vertices``: the polytope is integral iff no vertex is
+    fractional.
     """
     vertices = polytope_vertices(m)
-    fractional = next((p for p in vertices if not p.is_integral()), None)
-    return fractional is None, fractional, max(p.coordinate_sum() for p in vertices)
+    fractional = next(
+        (p for p in vertices if any(c.denominator != 1 for c in p)), None
+    )
+    # max() keeps the first maximizer of the sorted list
+    best = max(vertices, key=sum)
+    return fractional is None, fractional, sum(best), best
 
 
 def reference_branch_and_bound(g: Graph, k: int, unit_values: bool) -> SolveResult:

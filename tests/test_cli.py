@@ -429,6 +429,13 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "everything")
         assert code == 2
 
+    @pytest.mark.parametrize("suite", ["census", "polytope", "recognizers"])
+    def test_k_is_refused_by_suites_without_budgets(self, capsys, suite):
+        code, out, err = run(capsys, "verify", suite, "--max-n", "3", "--k", "5")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: the {suite} suite takes no --k\n"
+
 
 class TestVerifyCertificate:
     def test_round_trip(self, capsys, tmp_path, octahedron):

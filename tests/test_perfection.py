@@ -8,7 +8,6 @@ import kpacking.perfection
 from kpacking import (
     BinaryMatrix,
     CapExceededError,
-    RationalPoint,
     ZeroColumnError,
     closed_neighbourhood_matrix,
     complement,
@@ -92,25 +91,25 @@ class TestPolytopeVertices:
         m = closed_neighbourhood_matrix(cycle(4))
         points = polytope_vertices(m)
         third = (Fraction(1, 3),) * 4
-        fractional = [p.coords for p in points if not p.is_integral()]
+        fractional = [p for p in points if any(c.denominator != 1 for c in p)]
         assert fractional == [third]
 
     def test_sun_fractional_vertex(self):
         m = closed_neighbourhood_matrix(three_sun())
         target = (0, 0, 0, Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
         points = polytope_vertices(m)
-        assert target in [p.coords for p in points]
+        assert target in points
         assert all(tight_constraint_rank(m, p) == m.cols for p in points)
 
     def test_octahedron_fractional_vertex(self):
         m = closed_neighbourhood_matrix(web(6, 2))
         fifth = (Fraction(1, 5),) * 6
-        assert fifth in [p.coords for p in polytope_vertices(m)]
+        assert fifth in polytope_vertices(m)
 
     def test_complete_graph_all_integral(self):
         m = closed_neighbourhood_matrix(complete(5))
         points = polytope_vertices(m)
-        assert all(p.is_integral() for p in points)
+        assert all(c.denominator == 1 for p in points for c in p)
         # exactly the zero point and the five unit points
         assert len(points) == 6
 
@@ -128,15 +127,13 @@ class TestPolytopeVertices:
     @given(binary_matrices(max_rows=5, max_cols=4))
     @settings(max_examples=60, deadline=None)
     def test_agrees_with_subset_enumeration(self, m):
-        got = [p.coords for p in polytope_vertices(m)]
-        assert got == brute_vertices(m)
+        assert list(polytope_vertices(m)) == brute_vertices(m)
 
     def test_agrees_on_small_neighbourhood_matrices(self):
         for n in range(1, 6):
             for g in enumerate_connected_graphs(n):
                 m = closed_neighbourhood_matrix(g)
-                got = [p.coords for p in polytope_vertices(m)]
-                assert got == brute_vertices(m)
+                assert list(polytope_vertices(m)) == brute_vertices(m)
 
     @given(connected_graphs(max_nodes=6))
     @settings(max_examples=60, deadline=None)
@@ -155,7 +152,7 @@ class TestPolytopeVertices:
         ],
     )
     def test_tight_rank_of_points_that_are_not_vertices(self, g, coords, rank):
-        point = RationalPoint(tuple(Fraction(c) for c in coords))
+        point = tuple(Fraction(c) for c in coords)
         assert tight_constraint_rank(closed_neighbourhood_matrix(g), point) == rank
 
 
@@ -167,8 +164,7 @@ class TestPerfectMatrix:
     def test_imperfect_with_witness(self):
         verdict, witness = is_perfect_matrix(closed_neighbourhood_matrix(cycle(4)))
         assert verdict is False
-        assert witness.coords == (Fraction(1, 3),) * 4
-        assert witness.as_strings() == ("1/3", "1/3", "1/3", "1/3")
+        assert witness == (Fraction(1, 3),) * 4
 
     def test_zero_column_rejected(self):
         with pytest.raises(ZeroColumnError):
@@ -176,8 +172,8 @@ class TestPerfectMatrix:
 
 
 class TestPolytopeFacts:
-    """The report's polytope facts, read from the fractional supports alone,
-    against the same facts read off the full sorted vertex list."""
+    """The polytope facts read from the fractional supports alone, against
+    the same facts read off the full sorted vertex list."""
 
     @staticmethod
     def report_facts(g):
@@ -190,14 +186,15 @@ class TestPolytopeFacts:
         for h in (g, complement(g)):
             m = closed_neighbourhood_matrix(h)
             expected = reference_polytope_facts(m)
-            assert self.report_facts(h) == expected
+            assert kpacking.perfection._polytope_facts(m) == expected[1:]
+            assert self.report_facts(h) == expected[:3]
             assert is_perfect_matrix(m) == expected[:2]
 
     @given(any_binary_matrices())
     @settings(max_examples=100, deadline=None)
     def test_matrices_of_any_shape(self, m):
-        verdict, fractional, unit = reference_polytope_facts(m)
-        assert kpacking.perfection._polytope_facts(m) == (fractional, unit)
+        verdict, fractional, unit, best = reference_polytope_facts(m)
+        assert kpacking.perfection._polytope_facts(m) == (fractional, unit, best)
         if m.has_zero_column():
             with pytest.raises(ZeroColumnError):
                 is_perfect_matrix(m)
@@ -208,7 +205,10 @@ class TestPolytopeFacts:
         for n in range(1, 8):
             for g in enumerate_connected_graphs(n):
                 m = closed_neighbourhood_matrix(g)
-                assert self.report_facts(g) == reference_polytope_facts(m), g.edges()
+                expected = reference_polytope_facts(m)
+                facts = kpacking.perfection._polytope_facts(m)
+                assert facts == expected[1:], g.edges()
+                assert self.report_facts(g) == expected[:3], g.edges()
 
 
 class TestOddHoles:
@@ -263,14 +263,8 @@ class TestPerfectionReport:
         assert not rep.extended_clique_node
         assert rep.clique_graph_perfect
         assert rep.matrix_perfect is False
-        assert rep.fractional_vertex.as_strings() == (
-            "0/1",
-            "0/1",
-            "0/1",
-            "1/2",
-            "1/2",
-            "1/2",
-        )
+        half = Fraction(1, 2)
+        assert rep.fractional_vertex == (0, 0, 0, half, half, half)
         assert rep.unit_relaxation == Fraction(3, 2)
         assert rep.structural_verdict is False
         assert rep.structural_agrees
@@ -281,7 +275,7 @@ class TestPerfectionReport:
         assert not rep.extended_clique_node
         assert rep.clique_graph_perfect
         assert rep.matrix_perfect is False
-        assert rep.fractional_vertex.as_strings() == ("1/5",) * 6
+        assert rep.fractional_vertex == (Fraction(1, 5),) * 6
         assert rep.structural_verdict is True
         assert rep.structural_agrees is False
         assert not rep.neighbourhood_matrix_perfect
@@ -303,12 +297,4 @@ class TestPerfectionReport:
         monkeypatch.setattr(kpacking.perfection, "is_extended_clique_node_by_pattern", fail)
         with pytest.raises(CapExceededError):
             perfection_report(cycle(17))
-
-
-class TestRationalPoint:
-    def test_accessors(self):
-        p = RationalPoint((Fraction(1, 3), Fraction(0), Fraction(1)))
-        assert not p.is_integral()
-        assert p.coordinate_sum() == Fraction(4, 3)
-        assert p.as_strings() == ("1/3", "0/1", "1/1")
 

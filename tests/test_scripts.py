@@ -45,3 +45,24 @@ class TestFindGapWitness:
         assert out == ""
         assert err.startswith("usage: find_gap_witness.py")
         assert "argument --k: expected comma-separated positive integers" in err
+
+
+class TestFamilyReport:
+    def test_table(self, monkeypatch, capsys):
+        code, out, _ = run_script(monkeypatch, capsys, "family_report.py", "--k", "2")
+        assert code == 0
+        lines = [line.split() for line in out.splitlines()]
+        assert lines[0] == [
+            "family", "accepted", "gq_perf", "member", "screen", "l1", "kpf", "k*l1", "lp"
+        ]
+        assert len(lines) == 18
+        assert lines[3] == ["cycle(4)", "no", "yes", "no", "no", "1", "2", "2", "8/3"]
+        assert lines[-1] == ["clique_cycle(2)", "yes", "no", "no", "yes", "2", "5", "4", "5"]
+
+    @pytest.mark.parametrize("k", ["0", "-1", "x"])
+    def test_bad_budget_is_a_usage_error(self, monkeypatch, capsys, k):
+        code, out, err = run_script(monkeypatch, capsys, "family_report.py", "--k", k)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: family_report.py")
+        assert "argument --k: expected a positive integer" in err

@@ -13,6 +13,7 @@ from kpacking import (
     PackingFunction,
     check_scaling_identity,
     clique_cycle_family,
+    closed_neighbourhood_matrix,
     complement,
     complete,
     cycle,
@@ -29,7 +30,7 @@ from kpacking import (
     wheel,
 )
 
-from helpers import reference_branch_and_bound
+from helpers import reference_branch_and_bound, reference_polytope_facts
 from strategies import connected_graphs, graphs
 
 
@@ -212,7 +213,7 @@ class TestRelaxation:
     def test_square(self):
         value, point = lp_relaxation(cycle(4), 1)
         assert value == Fraction(4, 3)
-        assert point.as_strings() == ("1/3",) * 4
+        assert point == (Fraction(1, 3),) * 4
 
     def test_sun(self):
         assert lp_relaxation(three_sun(), 1)[0] == Fraction(3, 2)
@@ -230,6 +231,12 @@ class TestRelaxation:
     @settings(max_examples=60, deadline=None)
     def test_scales_linearly_in_k(self, g, k):
         assert lp_relaxation(g, k)[0] == k * lp_relaxation(g, 1)[0]
+
+    @given(graphs(max_nodes=10), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_first_maximizer_of_the_vertex_list(self, g, k):
+        _, _, unit, best = reference_polytope_facts(closed_neighbourhood_matrix(g))
+        assert lp_relaxation(g, k) == (k * unit, best)
 
 
 class TestScalingReport:
