@@ -9,6 +9,7 @@ import argparse
 from dataclasses import dataclass
 
 from kpacking import enumerate_connected_graphs, solve_kpf, solve_limited_packing
+from kpacking.families import KNOWN_CENSUS_COUNTS
 
 
 @dataclass(frozen=True)
@@ -52,14 +53,40 @@ def budget_list(text: str) -> tuple[int, ...]:
     return budgets
 
 
+def node_count(text: str) -> int:
+    """argparse type for ``--min-n`` and ``--max-n``: a node count the
+    census covers."""
+    top = max(KNOWN_CENSUS_COUNTS)
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if not 1 <= n <= top:
+        raise argparse.ArgumentTypeError(
+            f"expected a node count from 1 to {top}, got {text!r}"
+        )
+    return n
+
+
+def positive_int(text: str) -> int:
+    """argparse type for ``--limit``: one positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--min-n", type=int, default=2)
-    parser.add_argument("--max-n", type=int, default=5)
+    parser.add_argument("--min-n", type=node_count, default=2)
+    parser.add_argument("--max-n", type=node_count, default=5)
     parser.add_argument(
         "--k", type=budget_list, default=(2, 3, 4), help="comma-separated budgets"
     )
-    parser.add_argument("--limit", type=int, default=10)
+    parser.add_argument("--limit", type=positive_int, default=10)
     args = parser.parse_args()
     config = SearchConfig(
         min_nodes=args.min_n, max_nodes=args.max_n, budgets=args.k, limit=args.limit

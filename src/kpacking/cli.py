@@ -429,6 +429,12 @@ def _cmd_verify(args) -> int:
     runner, default_n, default_k = _SUITES[args.suite]
     if args.max_n is None:
         args.max_n = default_n
+    # webs start at web(2, k); a suite with an empty range would pass unchecked
+    least_n = 2 if args.suite == "webs" else 1
+    if args.max_n < least_n:
+        raise ValueError(f"the {args.suite} suite needs --max-n of at least {least_n}")
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
     if default_k is None and args.k is not None:
         raise ValueError(f"the {args.suite} suite takes no --k")
     if args.k is None:

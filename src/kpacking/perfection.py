@@ -99,7 +99,9 @@ def _fractional_supports(m: BinaryMatrix):
     one.  The first start is the zero point with every column free; then
     comes every strictly fractional solution of every support F (|F| >= 2),
     padded with zeros, whose free columns are those outside F sharing no row
-    with F.  No ``Fraction`` is made.
+    with F.  The starts after the first come in ascending order of F, but
+    within one support in no fixed order: every consumer takes a minimum, a
+    maximum or a sort.  No ``Fraction`` is made.
 
     Every vertex splits its coordinates into ones (O), zeros and a strictly
     fractional part (F).  Feasibility forces O to meet each row at most once
@@ -109,42 +111,72 @@ def _fractional_supports(m: BinaryMatrix):
     So the vertices are exactly the starts plus each row-compatible one-set
     of their free columns.  F must satisfy |F| independent tight rows, and a
     row whose restriction to F is a strict subset of another's can never be
-    tight (the superset row would overflow).  Each support is scanned once:
-    every full-rank subsystem drawn from its maximal restricted rows pins a
-    unique rational solution, and the strict-interior and feasibility checks
-    run on its numerators.
+    tight (the superset row would overflow).  Every full-rank subsystem drawn
+    from the maximal restricted rows pins a unique rational solution, and the
+    strict-interior and feasibility checks run on its numerators.
+
+    A row inside another row restricts to a subset of that row's restriction
+    on every F, so only the undominated rows are scanned.  A support F is
+    skipped without scanning them when it cannot have a fractional solution:
+
+    - |F| < 2: one strictly fractional coordinate meets no tight row.
+    - F lies inside one row: F itself is then the only maximal row.
+    - |F| exceeds the number of undominated rows: too few rows for a basis.
+    - F holds two twins, columns equal on every undominated row: every basis
+      on F has two equal columns and is singular.
+
+    The first two are marked in one table over all supports, built from the
+    submasks of each undominated row; the last two are tested on the
+    supports left unmarked.  Supports whose maximal rows, compressed onto
+    F's positions, form the same system have the same solutions, so each
+    distinct system is solved once per call.
 
     Raises ``CapExceededError`` above ``VERTEX_ENUMERATION_COLUMN_CAP``
-    columns, since all 2**n supports are scanned.
+    columns, since the table has an entry for each of the 2**n supports.
     """
     cap = VERTEX_ENUMERATION_COLUMN_CAP
     if m.cols > cap:
         raise CapExceededError(f"vertex enumeration capped at {cap} columns")
     n = m.cols
-    row_masks = sorted(set(m.row_masks))
+    # distinct rows by popcount descending, so each comes after its supersets
+    top: list[int] = []
+    for mk in sorted(set(m.row_masks), key=int.bit_count, reverse=True):
+        if not any(mk & y == mk for y in top):
+            top.append(mk)
     conflict = [0] * n
-    for mk in row_masks:
+    pattern = [0] * n  # the undominated rows holding each column, as a mask
+    for i, mk in enumerate(top):
         for j in _bits(mk):
             conflict[j - 1] |= mk & ~_bit(j)
+            pattern[j - 1] |= 1 << i
+    by_pattern: dict[int, int] = {}
+    for j, p in enumerate(pattern, start=1):
+        by_pattern[p] = by_pattern.get(p, 0) | _bit(j)
+    twins = [c for c in by_pattern.values() if c & (c - 1)]
+
+    # visit[F] is cleared for |F| < 2 and for F inside one undominated row
+    visit = bytearray(b"\1") * (1 << n)
+    visit[0] = 0
+    for j in range(n):
+        visit[1 << j] = 0
+    for mk in top:
+        sub = mk
+        while sub:
+            visit[sub] = 0
+            sub = (sub - 1) & mk
 
     # (F, its columns, its solutions as (numerators, denominator)) per support
     fractional: list[tuple[int, tuple[int, ...], set[tuple[tuple[int, ...], int]]]] = []
-    for fmask in range(3, 1 << n):
+    # solutions per distinct system of maximal rows compressed onto F
+    systems: dict[tuple[tuple[int, ...], ...], set[tuple[tuple[int, ...], int]]] = {}
+    for fmask in itertools.compress(range(1 << n), visit):
         size = fmask.bit_count()
-        if size < 2:
+        # too few undominated rows, or two columns of one twin class
+        if size > len(top) or any((x := fmask & c) & (x - 1) for c in twins):
             continue
-        restricted = []
-        covered = 0
-        for mk in row_masks:
-            x = mk & fmask
-            if x == fmask:
-                # F itself would be the only maximal row
-                restricted = []
-                break
-            if x.bit_count() >= 2 and x not in restricted:
-                restricted.append(x)
-                covered |= x
-        if len(restricted) < size or covered != fmask:
+        # the distinct restricted rows with two or more columns
+        restricted = [x for x in {mk & fmask for mk in top} if x & (x - 1)]
+        if len(restricted) < size:
             continue
         # by popcount descending, so each row comes after all of its supersets
         restricted.sort(key=int.bit_count, reverse=True)
@@ -157,23 +189,11 @@ def _fractional_supports(m: BinaryMatrix):
         if len(maximal) < size:
             continue
         cols = tuple(_bits(fmask))
-        # per maximal row: its 0/1 coefficients on F and the positions it meets
-        coeffs = [[(x >> (c - 1)) & 1 for c in cols] for x in maximal]
-        meets = [[i for i, a in enumerate(row) if a] for row in coeffs]
-        solutions = set()
-        for basis in itertools.combinations(range(len(maximal)), size):
-            rows = [coeffs[b] + [1] for b in basis]
-            if len(_eliminate(rows, size)) < size:
-                continue
-            # row i now reads rows[i][i] * x_i = rows[i][size], in lowest terms
-            den = math.lcm(*(row[i] for i, row in enumerate(rows)))
-            nums = tuple(row[size] * (den // row[i]) for i, row in enumerate(rows))
-            if any(not 0 < a < den for a in nums):
-                continue
-            # the solution is positive, so rows inside a maximal row hold too
-            if any(sum(nums[i] for i in at) > den for at in meets):
-                continue
-            solutions.add((nums, den))
+        # per maximal row: its 0/1 coefficients on F
+        system = tuple(sorted(tuple((x >> (c - 1)) & 1 for c in cols) for x in maximal))
+        solutions = systems.get(system)
+        if solutions is None:
+            solutions = systems[system] = _solve_system(system, size)
         if solutions:
             fractional.append((fmask, cols, solutions))
     den = math.lcm(1, *(d for _, _, sols in fractional for _, d in sols))
@@ -189,6 +209,31 @@ def _fractional_supports(m: BinaryMatrix):
                 point[j - 1] = a * (den // d)
             starts.append((tuple(point), sum(point), full & ~closure))
     return conflict, den, starts
+
+
+def _solve_system(
+    system: tuple[tuple[int, ...], ...], size: int
+) -> set[tuple[tuple[int, ...], int]]:
+    """Every strictly fractional, feasible solution ``(numerators,
+    denominator)`` of a full-rank choice of ``size`` rows of ``system``, a
+    tuple of 0/1 coefficient rows over ``size`` columns, set tight.
+    """
+    meets = [[i for i, a in enumerate(row) if a] for row in system]
+    solutions = set()
+    for basis in itertools.combinations(system, size):
+        rows = [[*row, 1] for row in basis]
+        if len(_eliminate(rows, size)) < size:
+            continue
+        # row i now reads rows[i][i] * x_i = rows[i][size], in lowest terms
+        den = math.lcm(*(row[i] for i, row in enumerate(rows)))
+        nums = tuple(row[size] * (den // row[i]) for i, row in enumerate(rows))
+        if any(not 0 < a < den for a in nums):
+            continue
+        # the solution is positive, so rows inside a maximal row hold too
+        if any(sum(nums[i] for i in at) > den for at in meets):
+            continue
+        solutions.add((nums, den))
+    return solutions
 
 
 def polytope_vertices(m: BinaryMatrix) -> tuple[tuple[Fraction, ...], ...]:

@@ -1,6 +1,7 @@
 """Reference helpers and oracles that only the tests use."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import kpacking.solver
@@ -16,6 +17,7 @@ from kpacking import (
     three_sun,
 )
 from kpacking.graphs import _bit, _bits
+from kpacking.perfection import VERTEX_ENUMERATION_COLUMN_CAP, _eliminate
 
 TOTALLY_BALANCED_COLUMN_CAP = 16
 
@@ -200,6 +202,87 @@ def tight_constraint_rank(m: BinaryMatrix, point: tuple[Fraction, ...]) -> int:
                 rows[r] = [x - f * y for x, y in zip(row, prow)]
         rank += 1
     return rank
+
+
+def reference_fractional_supports(m: BinaryMatrix):
+    """``perfection._fractional_supports`` with no skip rule and no shared
+    solve: every one of the 2**n supports scans every distinct row, and each
+    support with enough maximal rows solves its own system.  The result is
+    the same ``(conflict, den, starts)``; only the order of the starts within
+    one support may differ.
+    """
+    cap = VERTEX_ENUMERATION_COLUMN_CAP
+    if m.cols > cap:
+        raise CapExceededError(f"vertex enumeration capped at {cap} columns")
+    n = m.cols
+    row_masks = sorted(set(m.row_masks))
+    conflict = [0] * n
+    for mk in row_masks:
+        for j in _bits(mk):
+            conflict[j - 1] |= mk & ~_bit(j)
+
+    # (F, its columns, its solutions as (numerators, denominator)) per support
+    fractional: list[tuple[int, tuple[int, ...], set[tuple[tuple[int, ...], int]]]] = []
+    for fmask in range(3, 1 << n):
+        size = fmask.bit_count()
+        if size < 2:
+            continue
+        restricted = []
+        covered = 0
+        for mk in row_masks:
+            x = mk & fmask
+            if x == fmask:
+                # F itself would be the only maximal row
+                restricted = []
+                break
+            if x.bit_count() >= 2 and x not in restricted:
+                restricted.append(x)
+                covered |= x
+        if len(restricted) < size or covered != fmask:
+            continue
+        # by popcount descending, so each row comes after all of its supersets
+        restricted.sort(key=int.bit_count, reverse=True)
+        maximal: list[int] = []
+        for i, x in enumerate(restricted):
+            if len(maximal) + len(restricted) - i < size:
+                break
+            if not any(x & y == x for y in maximal):
+                maximal.append(x)
+        if len(maximal) < size:
+            continue
+        cols = tuple(_bits(fmask))
+        # per maximal row: its 0/1 coefficients on F and the positions it meets
+        coeffs = [[(x >> (c - 1)) & 1 for c in cols] for x in maximal]
+        meets = [[i for i, a in enumerate(row) if a] for row in coeffs]
+        solutions = set()
+        for basis in itertools.combinations(range(len(maximal)), size):
+            rows = [coeffs[b] + [1] for b in basis]
+            if len(_eliminate(rows, size)) < size:
+                continue
+            # row i now reads rows[i][i] * x_i = rows[i][size], in lowest terms
+            den = math.lcm(*(row[i] for i, row in enumerate(rows)))
+            nums = tuple(row[size] * (den // row[i]) for i, row in enumerate(rows))
+            if any(not 0 < a < den for a in nums):
+                continue
+            # the solution is positive, so rows inside a maximal row hold too
+            if any(sum(nums[i] for i in at) > den for at in meets):
+                continue
+            solutions.add((nums, den))
+        if solutions:
+            fractional.append((fmask, cols, solutions))
+    den = math.lcm(1, *(d for _, _, sols in fractional for _, d in sols))
+    full = (1 << n) - 1
+    starts = [((0,) * n, 0, full)]
+    for fmask, cols, sols in fractional:
+        closure = fmask
+        for j in cols:
+            closure |= conflict[j - 1]
+        for nums, d in sols:
+            point = [0] * n
+            for j, a in zip(cols, nums):
+                point[j - 1] = a * (den // d)
+            starts.append((tuple(point), sum(point), full & ~closure))
+    return conflict, den, starts
 
 
 def reference_polytope_facts(m: BinaryMatrix):

@@ -63,6 +63,37 @@ def any_binary_matrices(draw, max_rows=12, max_cols=10):
 
 
 @st.composite
+def pruning_matrices(draw, max_rows=10, max_cols=8):
+    """Binary matrix of any shape that forces in the cases the support pass
+    skips on: rows cut down to a subset of another row (dominated), repeated
+    rows, columns copied from another column in every row (twins), a further
+    row that tells such a pair apart (near twins) and a column cleared in
+    every row (zero column).  Most rows are drawn with two or three columns,
+    since short rows are what fractional vertices need.
+    """
+    cols = draw(st.integers(1, max_cols))
+    full = (1 << cols) - 1
+    column = st.integers(0, cols - 1)
+    short = st.sets(column, min_size=2, max_size=3).map(lambda s: sum(1 << j for j in s))
+    row = st.one_of(short, st.integers(0, full)) if cols > 1 else st.integers(0, full)
+    masks = draw(st.lists(row, min_size=1, max_size=max_rows))
+    cut = draw(st.lists(st.sampled_from(masks), max_size=3))
+    masks += [mk & draw(st.integers(0, full)) for mk in cut]
+    masks += draw(st.lists(st.sampled_from(masks), max_size=3))
+    for a, b in draw(st.lists(st.tuples(column, column), max_size=2)):
+        masks = [(mk & ~(1 << b)) | (((mk >> a) & 1) << b) for mk in masks]
+        # or near twins: a further row holds b but not a
+        c = draw(column)
+        if draw(st.booleans()) and c not in (a, b):
+            masks.append((1 << b) | (1 << c))
+    if draw(st.booleans()):
+        j = draw(column)
+        masks = [mk & ~(1 << j) for mk in masks]
+    masks = draw(st.permutations(masks))
+    return BinaryMatrix(len(masks), cols, tuple(masks))
+
+
+@st.composite
 def joined_graphs(draw, min_nodes=7, max_nodes=12):
     """Connected graph made of small connected pieces, each joined to the next
     by one edge.  Pieces are dense more often than whole random graphs are, so

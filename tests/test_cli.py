@@ -436,6 +436,30 @@ class TestVerify:
         assert out == ""
         assert err == f"error: the {suite} suite takes no --k\n"
 
+    @pytest.mark.parametrize(
+        "suite, max_n, least",
+        [
+            ("census", "0", 1),
+            ("census", "-3", 1),
+            ("polytope", "0", 1),
+            ("recognizers", "0", 1),
+            ("scaling", "0", 1),
+            ("webs", "1", 2),
+        ],
+    )
+    def test_empty_range_is_refused(self, capsys, suite, max_n, least):
+        code, out, err = run(capsys, "verify", suite, "--max-n", max_n)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: the {suite} suite needs --max-n of at least {least}\n"
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_refused(self, capsys, jobs):
+        code, out, err = run(capsys, "verify", "census", "--max-n", "2", "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --jobs must be at least 1\n"
+
 
 class TestVerifyCertificate:
     def test_round_trip(self, capsys, tmp_path, octahedron):

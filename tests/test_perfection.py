@@ -25,8 +25,18 @@ from kpacking import (
     wheel,
 )
 
-from helpers import reference_polytope_facts, tight_constraint_rank
-from strategies import any_binary_matrices, binary_matrices, connected_graphs, graphs
+from helpers import (
+    reference_fractional_supports,
+    reference_polytope_facts,
+    tight_constraint_rank,
+)
+from strategies import (
+    any_binary_matrices,
+    binary_matrices,
+    connected_graphs,
+    graphs,
+    pruning_matrices,
+)
 
 
 def bareiss_determinant(a):
@@ -209,6 +219,30 @@ class TestPolytopeFacts:
                 facts = kpacking.perfection._polytope_facts(m)
                 assert facts == expected[1:], g.edges()
                 assert self.report_facts(g) == expected[:3], g.edges()
+
+
+class TestSupportPass:
+    """The support pass with its skip rules and shared solves, against the
+    scan of every support; the starts within one support are unordered."""
+
+    @staticmethod
+    def assert_same_supports(m):
+        conflict, den, starts = kpacking.perfection._fractional_supports(m)
+        ref_conflict, ref_den, ref_starts = reference_fractional_supports(m)
+        assert conflict == ref_conflict
+        assert den == ref_den
+        assert starts[0] == ref_starts[0]
+        assert sorted(starts) == sorted(ref_starts)
+
+    @given(pruning_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_twins_repeated_dominated_and_zero_columns(self, m):
+        self.assert_same_supports(m)
+
+    def test_connected_census_to_seven_nodes(self):
+        for n in range(1, 8):
+            for g in enumerate_connected_graphs(n):
+                self.assert_same_supports(closed_neighbourhood_matrix(g))
 
 
 class TestOddHoles:

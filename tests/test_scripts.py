@@ -46,6 +46,28 @@ class TestFindGapWitness:
         assert err.startswith("usage: find_gap_witness.py")
         assert "argument --k: expected comma-separated positive integers" in err
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--min-n", "0"), ("--max-n", "9"), ("--max-n", "x")]
+    )
+    def test_node_bounds_outside_the_census_are_usage_errors(
+        self, monkeypatch, capsys, flag, value
+    ):
+        code, out, err = run_script(monkeypatch, capsys, "find_gap_witness.py", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: find_gap_witness.py")
+        assert f"argument {flag}: expected a node count from 1 to 8" in err
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_limit_below_one_is_a_usage_error(self, monkeypatch, capsys, limit):
+        code, out, err = run_script(
+            monkeypatch, capsys, "find_gap_witness.py", "--max-n", "2", "--limit", limit
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: find_gap_witness.py")
+        assert "argument --limit: expected a positive integer" in err
+
 
 class TestFamilyReport:
     def test_table(self, monkeypatch, capsys):
