@@ -29,6 +29,7 @@ from .families import (
     FAMILIES,
     KNOWN_CENSUS_COUNTS,
     FamilySpec,
+    _check_census_size,
     cycle,
     enumerate_connected_graphs,
     web,
@@ -433,6 +434,9 @@ def _cmd_verify(args) -> int:
     least_n = 2 if args.suite == "webs" else 1
     if args.max_n < least_n:
         raise ValueError(f"the {args.suite} suite needs --max-n of at least {least_n}")
+    # the other suites walk the census: refuse its size before building any of it
+    if args.suite != "webs":
+        _check_census_size(args.max_n)
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
     if default_k is None and args.k is not None:

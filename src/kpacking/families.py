@@ -149,12 +149,16 @@ def _census(n: int) -> tuple[Graph, ...]:
     return tuple(out)
 
 
-def enumerate_connected_graphs(n: int):
-    """One representative per isomorphism class of connected graphs on n nodes."""
+def _check_census_size(n: int) -> None:
     if n not in KNOWN_CENSUS_COUNTS:
         raise FamilyParameterError(
             f"census supports 1 <= n <= {max(KNOWN_CENSUS_COUNTS)}"
         )
+
+
+def enumerate_connected_graphs(n: int):
+    """One representative per isomorphism class of connected graphs on n nodes."""
+    _check_census_size(n)
     yield from _census(n)
 
 

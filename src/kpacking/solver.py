@@ -70,20 +70,36 @@ def _branch_and_bound(g: Graph, k: int, unit_values: bool) -> SolveResult:
     searched only if ``total + t + min(pooled, capped)`` beats the incumbent:
 
     * ``pooled`` is the slack left in all n rows divided by the smallest
-      closed neighbourhood among the nodes still to assign.  The slack is
-      passed down the recursion: it starts at ``n * k`` and each assignment
-      takes ``t * |N[u]|`` from it.
-    * ``capped`` is the sum of the value caps of the nodes still to assign,
-      a node's cap being the least of ``top`` and the residuals over its
-      closed neighbourhood.  Value t at depth i lowers the residuals of
-      ``rows[i]`` only, so the cap of a later row j is ``min(a_j, b_j - t)``:
-      ``a_j`` is the least of ``top`` and the residuals of row j outside
-      ``rows[i]``, and ``b_j`` the least of ``2 * top`` and the residuals
-      inside it.  As ``t <= top`` and ``a_j <= top``, a ``b_j`` of
-      ``2 * top`` leaves the cap at ``a_j``, as for a row that misses
-      ``rows[i]``.  Neither value depends on t, so each node computes the
-      pair of row j once, when a child's sum first reaches it.
-      The sum runs in depth order and stops as soon as it exceeds ``need``.
+      closed neighbourhood among the nodes still to assign.  The rows
+      shrink with depth, so that is the last row at every depth.  The slack
+      is passed down the recursion: it starts at ``n * k`` and each
+      assignment takes ``t * |N[u]|`` from it.
+    * ``capped`` is the sum of the value caps of the nodes after depth i, a
+      node's cap being the least of ``top`` and the residuals over its
+      closed neighbourhood.  ``dfs`` gets the sum of the caps over depths
+      i, i+1, ... as ``ahead``, so ``later = ahead - cap_i`` is the sum
+      before t is placed.  Value t lowers the residuals of ``rows[i]``
+      only, so a later row that misses ``rows[i]`` keeps its cap.  A later
+      row j that meets ``rows[i]`` gets the cap ``min(a_j, b_j - t)``:
+      ``a_j`` is the least of ``top`` and its residuals outside
+      ``rows[i]``, and ``b_j`` its least residual inside.  So t lowers
+      that cap by ``max(0, t - s_j)``, with the slack
+      ``s_j = max(0, b_j - a_j)``, and ``capped`` is ``later`` less these
+      drops over the meeting rows.  A searched child gets its ``capped``
+      as its ``ahead``.
+
+    All of this is lazy, so that a small search pays for little of it.  The
+    meeting rows of depth i are listed once per solve, and a node reads
+    their slacks once, both when a child first needs its bound.  A child
+    then costs O(meeting rows) instead of O(later rows).  Until the first
+    incumbent no child needs a bound, so the first dive passes ``ahead``
+    None down.  A node that got None takes ``(n - i - 1) * top`` for
+    ``later`` and sums the later caps only when it reads its slacks.
+
+    ``later`` is at least every child's ``capped``, and ``need`` grows as t
+    falls, so once ``later <= need`` the child and every smaller t are
+    pruned and counted at once.  At the last depth ``later`` is 0, so no
+    leaf is searched unless it beats the incumbent.
 
     Once more than ``SOLVER_EXPLORED_CAP`` children have been tried the search
     raises ``CapExceededError``.
@@ -93,21 +109,23 @@ def _branch_and_bound(g: Graph, k: int, unit_values: bool) -> SolveResult:
     if g.n > SOLVER_NODE_CAP:
         raise CapExceededError(f"solver capped at {SOLVER_NODE_CAP} nodes")
     explored_cap = SOLVER_EXPLORED_CAP
+    over_cap = f"solver explored more than {explored_cap} nodes"
     n = g.n
-    order = sorted(g.nodes(), key=lambda v: (-g.degree(v), v))
+    adj = g.adj
+    # 0-based node indices by decreasing degree; sorted() keeps ties ascending
+    negative_degree = [-mask.bit_count() for mask in adj]
+    order = sorted(range(n), key=negative_degree.__getitem__)
     # per depth: the 0-based rows of N[order[i]], i.e. the constraints it
-    # enters, as a list and as a mask with bit v set for row v
-    masks = [g.closed_mask(u) for u in order]
-    rows = [[v - 1 for v in _bits(mask)] for mask in masks]
-    # smallest closed neighbourhood among nodes still to assign, per depth
-    min_suffix_size = [len(row) for row in rows]
-    for i in range(n - 2, -1, -1):
-        min_suffix_size[i] = min(min_suffix_size[i], min_suffix_size[i + 1])
+    # enters, as a mask with bit v set for row v and as a list
+    masks = [adj[u] | 1 << u for u in order]
+    rows = [[v for v in range(n) if mask >> v & 1] for mask in masks]
+    # the rows shrink with depth, so the last is the smallest among the nodes
+    # still to assign at every depth
+    smallest = len(rows[-1])
     top = 1 if unit_values else k
-    # b_j of a row that misses rows[i].  It must be at least a_j + top, so
-    # that min(a_j, b_j - t) stays a_j for every t; k + 1 would cut the caps
-    # of the integer variant below their true value once t >= 2
-    misses = 2 * top
+    # per depth i, once a child there needs its bound: the later rows that
+    # meet rows[i]
+    meeting: list[list[list[int]] | None] = [None] * n
     residual = [k] * n
     at = residual.__getitem__
     assignment = [0] * n
@@ -115,7 +133,7 @@ def _branch_and_bound(g: Graph, k: int, unit_values: bool) -> SolveResult:
     best: tuple[int, ...] | None = None
     explored = 0
 
-    def dfs(i: int, total: int, slack: int) -> None:
+    def dfs(i: int, total: int, slack: int, ahead: int | None) -> None:
         nonlocal best_value, best, explored
         if i == n:
             if total > best_value:
@@ -124,66 +142,81 @@ def _branch_and_bound(g: Graph, k: int, unit_values: bool) -> SolveResult:
             return
         row = rows[i]
         size = len(row)
-        mask = masks[i]
-        # (a_j, b_j) of rows i+1, i+2, ..., filled as the children reach them;
-        # every searched child restores the residuals, so the pairs hold for all
-        pairs = []
-        for t in range(min(top, *map(at, row)), -1, -1):
+        cap = min(top, *map(at, row))
+        # at least every child's capped: caps only fall as t grows
+        later = (n - i - 1) * top if ahead is None else ahead - cap
+        # s_j of each meeting row that some t <= cap can lower, read when a
+        # child first needs its bound; every searched child restores the
+        # residuals, so they hold for all children
+        slacks = None
+        for t in range(cap, -1, -1):
             explored += 1
             if explored > explored_cap:
-                raise CapExceededError(
-                    f"solver explored more than {explored_cap} nodes"
-                )
-            # search the child only if min(pooled, capped) > need; both are
-            # >= 0, and both are 0 once no node is left
+                raise CapExceededError(over_cap)
+            # search the child only if min(pooled, capped) > need
             need = best_value - total - t
+            if later <= need:
+                # capped <= later <= need prunes this child, and each
+                # smaller t has a larger need
+                explored += t
+                if explored > explored_cap:
+                    raise CapExceededError(over_cap)
+                break
             child_slack = slack - t * size
+            capped = None
             if need >= 0:
-                if i + 1 == n or child_slack // min_suffix_size[i + 1] <= need:
+                if child_slack // smallest <= need:
                     continue
-                capped = 0
-                for a, b in pairs:
-                    b -= t
-                    capped += a if a < b else b
-                    if capped > need:
-                        break
-                else:
-                    for j in range(i + 1 + len(pairs), n):
+                if slacks is None:
+                    if ahead is None:
+                        # the exact sum, which the search below passes on
+                        later = sum(min(top, *map(at, other)) for other in rows[i + 1:])
+                    mask = masks[i]
+                    meets = meeting[i]
+                    if meets is None:
+                        meets = meeting[i] = [
+                            rows[j] for j in range(i + 1, n) if masks[j] & mask
+                        ]
+                    slacks = []
+                    for other in meets:
                         a = top
-                        b = misses
-                        if masks[j] & mask:
-                            for v in rows[j]:
-                                r = residual[v]
-                                if mask >> v & 1:
-                                    if r < b:
-                                        b = r
-                                elif r < a:
-                                    a = r
-                        else:
-                            a = min(a, *map(at, rows[j]))
-                        pairs.append((a, b))
-                        b -= t
-                        capped += a if a < b else b
-                        if capped > need:
-                            break
-                    else:
-                        continue  # every later cap counted: capped <= need
-            for v in row:
-                residual[v] -= t
+                        b = k
+                        for v in other:
+                            r = residual[v]
+                            if mask >> v & 1:
+                                if r < b:
+                                    b = r
+                            elif r < a:
+                                a = r
+                        if b - a < cap:
+                            slacks.append(b - a if b > a else 0)
+                capped = later
+                for s_j in slacks:
+                    if t > s_j:
+                        capped -= t - s_j
+                if capped <= need:
+                    continue
             assignment[i] = t
-            dfs(i + 1, total + t, child_slack)
-            for v in row:
-                residual[v] += t
+            if t:
+                for v in row:
+                    residual[v] -= t
+            dfs(i + 1, total + t, child_slack, capped)
+            if t:
+                for v in row:
+                    residual[v] += t
 
-    dfs(0, 0, n * k)
+    dfs(0, 0, n * k, n * top)
+    # dfs holds itself through its closure; dropping the name frees the
+    # search state now instead of at the next cyclic garbage collection
+    del dfs
     assert best is not None
     values = [0] * n
-    for i, v in enumerate(order):
-        values[v - 1] = best[i]
+    for i, u in enumerate(order):
+        values[u] = best[i]
     return SolveResult(
         optimum=best_value,
         witness=PackingFunction(tuple(values), k),
-        node_order=tuple(order),
+        node_order=tuple([u + 1 for u in order]),
         explored=explored,
     )
 

@@ -301,10 +301,13 @@ def reference_polytope_facts(m: BinaryMatrix):
 
 
 def reference_branch_and_bound(g: Graph, k: int, unit_values: bool) -> SolveResult:
-    """The branch-and-bound search with the value caps summed from the
-    residuals for every child: same node order, child order, pruning rule
-    and caps as ``solver._branch_and_bound``, so the two must agree on the
-    optimum, the witness and the explored count.
+    """The branch-and-bound search with every later row's cap read from the
+    residuals for every child.  The node order, the child order, the pruning
+    rule and the bound are those of ``solver._branch_and_bound``; its
+    bookkeeping is not.  Nothing is passed down beside the slack, the later
+    rows are not split into those that meet the assigned row and those that
+    miss it, and each pruned child is counted on its own.  The two must
+    agree on the optimum, the witness, the node order and the explored count.
     """
     if k < 1:
         raise ValueError("the packing bound k must be a positive integer")

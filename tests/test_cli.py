@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import kpacking.cli
+import kpacking.families
 import kpacking.graphs
 import kpacking.perfection
 import kpacking.recognition
@@ -452,6 +453,19 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err == f"error: the {suite} suite needs --max-n of at least {least}\n"
+
+    @pytest.mark.parametrize("suite", ["census", "polytope", "recognizers", "scaling"])
+    def test_census_beyond_its_size_is_refused_before_any_work(
+        self, capsys, monkeypatch, suite
+    ):
+        def unused(n):
+            raise AssertionError(f"census({n}) built for a refused --max-n")
+
+        monkeypatch.setattr(kpacking.families, "_census", unused)
+        code, out, err = run(capsys, "verify", suite, "--max-n", "9")
+        assert code == 2
+        assert out == ""
+        assert err == "error: census supports 1 <= n <= 8\n"
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_is_refused(self, capsys, jobs):

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -100,6 +102,21 @@ class TestSolveFixtures:
         with pytest.raises(CapExceededError, match="explored more than 1000"):
             solve_kpf(cycle(5), 20)  # explores 4176 children uncapped
 
+    @pytest.mark.parametrize(
+        "solve, g, k, explored",
+        [(solve_kpf, cycle(13), 5, 29002), (solve_limited_packing, wheel(14), 3, 737)],
+        ids=["kpf-cycle(13)", "limited-wheel(14)"],
+    )
+    def test_explored_cap_is_exact(self, monkeypatch, solve, g, k, explored):
+        # pruned children may be counted several at a time; the cap must
+        # still stop the search at the first child past it, and not before
+        monkeypatch.setattr(kpacking.solver, "SOLVER_EXPLORED_CAP", explored)
+        assert solve(g, k).explored == explored
+        monkeypatch.setattr(kpacking.solver, "SOLVER_EXPLORED_CAP", explored - 1)
+        over = f"explored more than {explored - 1} "
+        with pytest.raises(CapExceededError, match=over):
+            solve(g, k)
+
 
 # (graph, k, solve_kpf (optimum, explored), solve_limited_packing (...)):
 # any change to the search order or the bound must update this table
@@ -129,24 +146,55 @@ def test_search_tree_is_pinned(g, k, kpf, limited):
     assert (res.optimum, res.explored) == limited
 
 
-@given(graphs(max_nodes=10), st.booleans(), st.integers(1, 4))
-@settings(max_examples=120, deadline=None)
-def test_search_matches_the_reference_search(g, dense, k):
-    # The solver computes each later row's cap as min(a_j, b_j - t) from pairs
-    # made once per node, where the reference takes the least residual over
-    # the row for every child.  A b_j below a_j + top for a row that misses
-    # the assigned row gives caps that are too low: with k + 1 in its place
-    # the integer variant pruned optimal children, and check_scaling_identity
-    # raised ConsistencyError.  The complement of a sparse draw is dense, so
-    # that most later rows meet the assigned one.
-    if dense:
-        g = complement(g)
+def assert_same_search(g, k):
     for solve, unit_values in ((solve_kpf, False), (solve_limited_packing, True)):
         got = solve(g, k)
         want = reference_branch_and_bound(g, k, unit_values)
         assert (got.optimum, got.explored, got.witness.values, got.node_order) == (
             want.optimum, want.explored, want.witness.values, want.node_order,
         )
+
+
+@given(graphs(max_nodes=10), st.booleans(), st.integers(1, 4))
+@settings(max_examples=120, deadline=None)
+def test_search_matches_the_reference_search(g, dense, k):
+    # The solver passes the sum of the later caps down the search, lowers it
+    # per child by the drops of the later rows that meet the assigned row
+    # only, and counts the children below the sum's bound at once; the
+    # reference takes the least residual over every later row for every
+    # child.  The complement of a sparse draw is dense, so that most later
+    # rows meet the assigned one.
+    if dense:
+        g = complement(g)
+    assert_same_search(g, k)
+
+
+def seeded_sparse_graph(seed: int) -> Graph:
+    """G(n, 0.3) with n = 10, 11 or 12, from a fixed seed."""
+    rng = random.Random(seed)
+    n = 10 + seed % 3
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    return Graph.from_edges(n, [e for e in pairs if rng.random() < 0.3])
+
+
+# sparse cells at high k, which the draw above rarely reaches: most later rows
+# miss the assigned row, and many nodes take values above 1
+SPARSE_CELLS = (
+    [(f"cycle({n}),k={k}", cycle(n), k) for n in range(10, 14) for k in (4, 5)]
+    + [(f"web({n},2),k=3", web(n, 2), 3) for n in range(10, 15)]
+    + [
+        (f"G(n,0.3)#{seed},k={k}", seeded_sparse_graph(seed), k)
+        for seed in range(6)
+        for k in (1, 2, 3)
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "g, k", [cell[1:] for cell in SPARSE_CELLS], ids=[cell[0] for cell in SPARSE_CELLS]
+)
+def test_sparse_search_matches_the_reference_search(g, k):
+    assert_same_search(g, k)
 
 
 class TestSolverAgainstBruteForce:
