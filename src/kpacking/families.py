@@ -13,6 +13,7 @@ from .graphs import (
     Graph,
     _bit,
     _isomorphic,
+    _isomorphisms,
     _node_invariants,
     complement,
 )
@@ -127,18 +128,35 @@ def _census(n: int) -> tuple[Graph, ...]:
         return (Graph(1, (0,)),)
     # every connected graph arises from a connected graph on n-1 nodes by
     # attaching node n to a nonempty neighbour set; a candidate is kept unless
-    # it is isomorphic to a kept graph with the same sorted node invariants
+    # it is isomorphic to a kept graph with the same sorted node invariants.
+    # Two neighbour sets that an automorphism of the parent maps onto each
+    # other give isomorphic candidates, so only the first set of each orbit
+    # that the walk reaches is tried: every later one would be rejected as
+    # isomorphic to that first candidate or to the graph that rejected it.
+    # The kept graphs and their order are those of trying every set, and
+    # stay so for any subset of the automorphisms.
     top = 1 << (n - 1)
     buckets: dict[tuple, list] = {}
     out: list[Graph] = []
     for base in _census(n - 1):
+        inv_base = _node_invariants(base.adj)
+        autos = list(_isomorphisms(base.adj, inv_base, base.adj, inv_base))
+        reached: set[int] = set()
         for r in range(1, n):
             for subset in itertools.combinations(range(n - 1), r):
-                adj = list(base.adj)
                 row = 0
                 for v in subset:
-                    adj[v] |= top
                     row |= 1 << v
+                if row in reached:
+                    continue
+                for perm in autos:
+                    image = 0
+                    for v in subset:
+                        image |= 1 << perm[v]
+                    reached.add(image)
+                adj = list(base.adj)
+                for v in subset:
+                    adj[v] |= top
                 adj.append(row)
                 inv = _node_invariants(adj)
                 bucket = buckets.setdefault(tuple(sorted(inv)), [])

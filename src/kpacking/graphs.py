@@ -226,39 +226,63 @@ def _node_invariants(adj) -> list[tuple[int, ...]]:
     return [(d, *((row & m).bit_count() for m in masks)) for d, row in zip(degs, adj)]
 
 
-def _isomorphic(adj_g, inv_g, adj_h, inv_h) -> bool:
-    """Backtracking isomorphism test on 0-based mask rows.
+def _isomorphisms(adj_g, inv_g, adj_h, inv_h):
+    """Yield every isomorphism from g onto h on 0-based mask rows.
 
     ``inv_g`` and ``inv_h`` are the ``_node_invariants`` of the two graphs and
     must agree as multisets.  g's nodes are placed rarest invariant first,
     each onto a free node of h with the same invariant and the same adjacency
-    to the nodes already placed.
+    to the nodes already placed, trying h's nodes in ascending order.  Each
+    map is a tuple whose entry v is the h node that g node v goes to.  The
+    search keeps its state on an explicit stack, so a generator dropped
+    early leaves nothing to the cyclic garbage collector.
     """
     n = len(adj_g)
     classes: dict[tuple[int, ...], int] = {}
     for w, key in enumerate(inv_h):
         classes[key] = classes.get(key, 0) | 1 << w
     order = sorted(range(n), key=lambda v: (classes[inv_g[v]].bit_count(), inv_g[v]))
-    image = [0] * n  # bit of the h node that g node v is placed on
+    image = [0] * n  # the h node that g node v is placed on
+    # per depth i: the mask of g's neighbours of order[i] among order[:i],
+    # the h nodes those must be adjacent to, and the h nodes still to try
+    before = []
+    placed = 0
+    for v in order:
+        before.append(adj_g[v] & placed)
+        placed |= 1 << v
+    req = [0] * n
+    left = [0] * n
+    left[0] = classes[inv_g[order[0]]]
+    used = 0
+    i = 0
+    while i >= 0:
+        cand = left[i]
+        if not cand:
+            i -= 1
+            if i >= 0:
+                used ^= 1 << image[order[i]]
+            continue
+        bw = cand & -cand
+        left[i] = cand ^ bw
+        w = bw.bit_length() - 1
+        if adj_h[w] & used != req[i]:
+            continue
+        image[order[i]] = w
+        if i + 1 == n:
+            yield tuple(image)
+            continue
+        used |= bw
+        i += 1
+        r = 0
+        for u in _bits(before[i]):
+            r |= 1 << image[u - 1]
+        req[i] = r
+        left[i] = classes[inv_g[order[i]]] & ~used
 
-    def place(i: int, placed: int, used: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        req = 0
-        for u in _bits(adj_g[v] & placed):
-            req |= image[u - 1]
-        cand = classes[inv_g[v]] & ~used
-        while cand:
-            bw = cand & -cand
-            cand ^= bw
-            if adj_h[bw.bit_length() - 1] & used == req:
-                image[v] = bw
-                if place(i + 1, placed | 1 << v, used | bw):
-                    return True
-        return False
 
-    return place(0, 0, 0)
+def _isomorphic(adj_g, inv_g, adj_h, inv_h) -> bool:
+    """Whether ``_isomorphisms`` yields a map from g onto h."""
+    return next(_isomorphisms(adj_g, inv_g, adj_h, inv_h), None) is not None
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
@@ -284,9 +308,23 @@ def induced_cycles(g: Graph, min_length: int = 4, odd_only: bool = False):
     for s in range(1, n + 1):
         sadj = adj[s - 1]
         gt = full & ~((1 << s) - 1)
-
-        def walk(path: list[int], used: int, blocked: int):
-            last = path[-1]
+        # depth-first over the paths from s, smallest next label first; per
+        # path node: the nodes on the path, the nodes that may not follow its
+        # children (the neighbours of the path after s up to it), and the
+        # children still to visit
+        path = [s]
+        stack = [(_bit(s), 0, sadj & gt)]
+        while stack:
+            used, blocked, rest = stack[-1]
+            if not rest:
+                stack.pop()
+                path.pop()
+                continue
+            low = rest & -rest
+            stack[-1] = (used, blocked, rest ^ low)
+            last = low.bit_length()
+            path.append(last)
+            used |= low
             cand = adj[last - 1] & gt & ~used & ~blocked
             length = len(path) + 1
             if length >= min_length and (not odd_only or length % 2 == 1):
@@ -294,12 +332,9 @@ def induced_cycles(g: Graph, min_length: int = 4, odd_only: bool = False):
                     if u > path[1]:
                         yield tuple(path) + (u,)
             if len(path) < n - 1:
-                nxt_blocked = blocked | adj[last - 1]
-                for u in _bits(cand & ~sadj):
-                    yield from walk(path + [u], used | _bit(u), nxt_blocked)
-
-        for v1 in _bits(sadj & gt):
-            yield from walk([s, v1], _bit(s) | _bit(v1), 0)
+                stack.append((used, blocked | adj[last - 1], cand & ~sadj))
+            else:
+                path.pop()
 
 
 def find_induced_cycle(g: Graph, min_length: int = 4, odd_only: bool = False):

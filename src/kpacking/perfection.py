@@ -261,6 +261,9 @@ def polytope_vertices(m: BinaryMatrix) -> tuple[tuple[Fraction, ...], ...]:
 
     for point, _, free in starts:
         complete(list(point), free)
+    # complete holds itself through its closure; dropping the name frees it
+    # now instead of at the next cyclic garbage collection
+    del complete
     found.sort()
     # one Fraction per distinct numerator, shared by every vertex using it
     coord = {a: Fraction(a, den) for a in {den}.union(*(p for p, _, _ in starts))}

@@ -35,9 +35,10 @@ from helpers import (
 )
 
 # sha256 of json.dumps([list(g.adj) for g in enumerate_connected_graphs(n)]),
-# recorded before the census moved to bitmask rows: the same representatives
-# in the same order.  The n = 8 list (digest 7a8080d8c4e3...) matched once by
-# hand; it takes seconds, so it is not a test.
+# recorded before the census moved to bitmask rows and before it pruned
+# neighbour sets by parent orbit: the same representatives in the same order.
+# The n = 8 list (digest 7a8080d8c4e3...) is matched by hand after each
+# change to the census; it takes seconds, so it is not a test.
 CENSUS_DIGESTS = {
     1: "db407f11d7ede59abaab0e98e097ff2dae10a048207b801745d7199ef19c2387",
     2: "ea9610e84656457b8984fb4f10806a7046e6a685dd6ca9f80baa8decfeec15fd",

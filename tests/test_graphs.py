@@ -1,4 +1,5 @@
 import itertools
+import math
 import sys
 
 import pytest
@@ -15,6 +16,7 @@ from kpacking import (
     complement,
     complete,
     cycle,
+    enumerate_connected_graphs,
     find_induced_cycle,
     format_graph,
     format_matrix,
@@ -25,8 +27,10 @@ from kpacking import (
     parse_graph,
     parse_matrix,
     three_sun,
+    web,
     wheel,
 )
+from kpacking.graphs import _isomorphisms, _node_invariants
 
 from helpers import (
     brute_canonical_code,
@@ -271,6 +275,41 @@ class TestIsomorphism:
 
     def test_different_sizes(self):
         assert not is_isomorphic(cycle(4), cycle(5))
+
+
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    inv = _node_invariants(g.adj)
+    return list(_isomorphisms(g.adj, inv, g.adj, inv))
+
+
+def preserves_edges(g: Graph, perm) -> bool:
+    return all(
+        sum(1 << perm[u] for u in range(g.n) if row >> u & 1) == g.adj[perm[v]]
+        for v, row in enumerate(g.adj)
+    )
+
+
+class TestAutomorphisms:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_census_groups_match_brute_force(self, n):
+        for g in enumerate_connected_graphs(n):
+            maps = automorphisms(g)
+            assert len(set(maps)) == len(maps)
+            for perm in maps:
+                assert sorted(perm) == list(range(n))
+                assert preserves_edges(g, perm)
+            brute = itertools.permutations(range(n))
+            assert len(maps) == sum(preserves_edges(g, p) for p in brute)
+
+    @pytest.mark.parametrize(
+        "g, order",
+        [(cycle(n), 2 * n) for n in (3, 5, 8)]
+        + [(complete(n), math.factorial(n)) for n in (1, 4, 7)]
+        + [(wheel(n), 2 * (n - 1)) for n in (5, 6, 9)]
+        + [(web(6, 2), 48), (three_sun(), 6)],
+    )
+    def test_known_group_orders(self, g, order):
+        assert len(automorphisms(g)) == order
 
 
 class TestGraphText:
