@@ -12,9 +12,11 @@ from .graphs import (
     BinaryMatrix,
     Graph,
     _bit,
+    _invariant_classes,
     _isomorphic,
     _isomorphisms,
     _node_invariants,
+    _placement,
     complement,
 )
 
@@ -140,7 +142,9 @@ def _census(n: int) -> tuple[Graph, ...]:
     out: list[Graph] = []
     for base in _census(n - 1):
         inv_base = _node_invariants(base.adj)
-        autos = list(_isomorphisms(base.adj, inv_base, base.adj, inv_base))
+        classes_base = _invariant_classes(inv_base)
+        plan = _placement(base.adj, inv_base, classes_base)
+        autos = list(_isomorphisms(plan, base.adj, classes_base))
         reached: set[int] = set()
         for r in range(1, n):
             for subset in itertools.combinations(range(n - 1), r):
@@ -159,10 +163,15 @@ def _census(n: int) -> tuple[Graph, ...]:
                     adj[v] |= top
                 adj.append(row)
                 inv = _node_invariants(adj)
+                classes = _invariant_classes(inv)
                 bucket = buckets.setdefault(tuple(sorted(inv)), [])
-                if any(_isomorphic(adj, inv, a, i) for a, i in bucket):
-                    continue
-                bucket.append((adj, inv))
+                # the invariant multiset is fixed within a bucket, so the
+                # candidate's placement serves every kept graph in it
+                if bucket:
+                    plan = _placement(adj, inv, classes)
+                    if any(_isomorphic(plan, a, c) for a, c in bucket):
+                        continue
+                bucket.append((adj, classes))
                 out.append(Graph(n, tuple(adj)))
     return tuple(out)
 

@@ -226,33 +226,55 @@ def _node_invariants(adj) -> list[tuple[int, ...]]:
     return [(d, *((row & m).bit_count() for m in masks)) for d, row in zip(degs, adj)]
 
 
-def _isomorphisms(adj_g, inv_g, adj_h, inv_h):
-    """Yield every isomorphism from g onto h on 0-based mask rows.
-
-    ``inv_g`` and ``inv_h`` are the ``_node_invariants`` of the two graphs and
-    must agree as multisets.  g's nodes are placed rarest invariant first,
-    each onto a free node of h with the same invariant and the same adjacency
-    to the nodes already placed, trying h's nodes in ascending order.  Each
-    map is a tuple whose entry v is the h node that g node v goes to.  The
-    search keeps its state on an explicit stack, so a generator dropped
-    early leaves nothing to the cyclic garbage collector.
-    """
-    n = len(adj_g)
+def _invariant_classes(inv) -> dict[tuple[int, ...], int]:
+    """Per node invariant in ``inv``: the mask of the nodes that have it."""
     classes: dict[tuple[int, ...], int] = {}
-    for w, key in enumerate(inv_h):
+    for w, key in enumerate(inv):
         classes[key] = classes.get(key, 0) | 1 << w
-    order = sorted(range(n), key=lambda v: (classes[inv_g[v]].bit_count(), inv_g[v]))
-    image = [0] * n  # the h node that g node v is placed on
-    # per depth i: the mask of g's neighbours of order[i] among order[:i],
-    # the h nodes those must be adjacent to, and the h nodes still to try
+    return classes
+
+
+def _placement(adj_g, inv_g, classes_g):
+    """g's side of the isomorphism search, which depends on g alone.
+
+    ``inv_g`` is ``_node_invariants(adj_g)`` and ``classes_g`` its
+    ``_invariant_classes``.  Returns g's nodes in placement order, their
+    invariants in that order, and per depth the mask of the node's
+    neighbours placed before it.  Nodes are placed rarest invariant first
+    (ties by invariant, then by node), so the order is the same against any
+    h whose invariants agree with g's as multisets.
+    """
+    order = sorted(
+        range(len(adj_g)), key=lambda v: (classes_g[inv_g[v]].bit_count(), inv_g[v])
+    )
     before = []
     placed = 0
     for v in order:
         before.append(adj_g[v] & placed)
         placed |= 1 << v
+    return order, [inv_g[v] for v in order], before
+
+
+def _isomorphisms(plan, adj_h, classes_h):
+    """Yield every isomorphism from g onto h on 0-based mask rows.
+
+    ``plan`` is g's ``_placement`` and ``classes_h`` the
+    ``_invariant_classes`` of h's ``_node_invariants``; the two graphs'
+    invariants must agree as multisets.  Each node of g is placed in plan
+    order onto a free node of h with the same invariant and the same
+    adjacency to the nodes already placed, trying h's nodes in ascending
+    order.  Each map is a tuple whose entry v is the h node that g node v
+    goes to.  The search keeps its state on an explicit stack, so a
+    generator dropped early leaves nothing to the cyclic garbage collector.
+    """
+    order, keys, before = plan
+    n = len(order)
+    image = [0] * n  # the h node that g node v is placed on
+    # per depth i: the h nodes that must be adjacent to order[i], and the h
+    # nodes still to try
     req = [0] * n
     left = [0] * n
-    left[0] = classes[inv_g[order[0]]]
+    left[0] = classes_h[keys[0]]
     used = 0
     i = 0
     while i >= 0:
@@ -277,12 +299,12 @@ def _isomorphisms(adj_g, inv_g, adj_h, inv_h):
         for u in _bits(before[i]):
             r |= 1 << image[u - 1]
         req[i] = r
-        left[i] = classes[inv_g[order[i]]] & ~used
+        left[i] = classes_h[keys[i]] & ~used
 
 
-def _isomorphic(adj_g, inv_g, adj_h, inv_h) -> bool:
+def _isomorphic(plan, adj_h, classes_h) -> bool:
     """Whether ``_isomorphisms`` yields a map from g onto h."""
-    return next(_isomorphisms(adj_g, inv_g, adj_h, inv_h), None) is not None
+    return next(_isomorphisms(plan, adj_h, classes_h), None) is not None
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
@@ -292,7 +314,8 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     inv_g, inv_h = _node_invariants(g.adj), _node_invariants(h.adj)
     if sorted(inv_g) != sorted(inv_h):
         return False
-    return _isomorphic(g.adj, inv_g, h.adj, inv_h)
+    plan = _placement(g.adj, inv_g, _invariant_classes(inv_g))
+    return _isomorphic(plan, h.adj, _invariant_classes(inv_h))
 
 
 def induced_cycles(g: Graph, min_length: int = 4, odd_only: bool = False):

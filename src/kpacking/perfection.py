@@ -10,6 +10,7 @@ fractions.Fraction.  No floating point participates in any verdict.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,14 +28,16 @@ from .graphs import (
 )
 from .recognition import (
     RecognitionCertificate,
+    _cliques_certificate,
     clique_graph,
     find_undominated_obstruction,
-    is_extended_clique_node_by_cliques,
     is_extended_clique_node_by_pattern,
 )
 
 ODD_HOLE_NODE_CAP = 16
 VERTEX_ENUMERATION_COLUMN_CAP = 10
+# distinct restricted systems whose solutions the support pass keeps per process
+SOLVED_SYSTEM_MEMO_SIZE = 1024
 
 
 def find_odd_hole(g: Graph):
@@ -99,9 +102,8 @@ def _fractional_supports(m: BinaryMatrix):
     one.  The first start is the zero point with every column free; then
     comes every strictly fractional solution of every support F (|F| >= 2),
     padded with zeros, whose free columns are those outside F sharing no row
-    with F.  The starts after the first come in ascending order of F, but
-    within one support in no fixed order: every consumer takes a minimum, a
-    maximum or a sort.  No ``Fraction`` is made.
+    with F.  The starts after the first come in no fixed order: every
+    consumer takes a minimum, a maximum or a sort.  No ``Fraction`` is made.
 
     Every vertex splits its coordinates into ones (O), zeros and a strictly
     fractional part (F).  Feasibility forces O to meet each row at most once
@@ -116,23 +118,32 @@ def _fractional_supports(m: BinaryMatrix):
     strict-interior and feasibility checks run on its numerators.
 
     A row inside another row restricts to a subset of that row's restriction
-    on every F, so only the undominated rows are scanned.  A support F is
-    skipped without scanning them when it cannot have a fractional solution:
+    on every F, so only the undominated rows are read.  Columns lying in the
+    same undominated rows are twins, and the pass runs on their classes:
 
-    - |F| < 2: one strictly fractional coordinate meets no tight row.
-    - F lies inside one row: F itself is then the only maximal row.
-    - |F| exceeds the number of undominated rows: too few rows for a basis.
-    - F holds two twins, columns equal on every undominated row: every basis
-      on F has two equal columns and is singular.
+    - F holds at most one column of each class: two twins in F make every
+      basis on F singular.
+    - F holds no zero column (the class in no row): every basis is singular.
+    - The restricted rows, and so the system, depend only on the classes F
+      meets, and so does its closure (the union of the rows meeting it).
 
-    The first two are marked in one table over all supports, built from the
-    submasks of each undominated row; the last two are tested on the
-    supports left unmarked.  Supports whose maximal rows, compressed onto
-    F's positions, form the same system have the same solutions, so each
-    distinct system is solved once per call.
+    So the scan runs over the 2**r sets S of the r classes, and each
+    fractional S expands into one support per choice of a member of each of
+    its classes, with the numerators on the chosen columns.  A class set is
+    skipped without scanning the rows when it cannot be fractional:
+
+    - |S| < 2: one strictly fractional coordinate meets no tight row.
+    - S lies inside one row: S itself is then the only maximal row.
+    - |S| exceeds the number of undominated rows: too few rows for a basis.
+
+    The first two are marked in one table over all class sets, built from
+    the submasks of each row; the last is tested on the sets left unmarked.
+    The solutions of a system depend only on its maximal rows as masks over
+    S's positions, so ``_solve_system`` keeps them in a memo shared by every
+    call in the process, bounded by ``SOLVED_SYSTEM_MEMO_SIZE`` systems.
 
     Raises ``CapExceededError`` above ``VERTEX_ENUMERATION_COLUMN_CAP``
-    columns, since the table has an entry for each of the 2**n supports.
+    columns, since the table can have an entry for each of the 2**n supports.
     """
     cap = VERTEX_ENUMERATION_COLUMN_CAP
     if m.cols > cap:
@@ -149,33 +160,39 @@ def _fractional_supports(m: BinaryMatrix):
         for j in _bits(mk):
             conflict[j - 1] |= mk & ~_bit(j)
             pattern[j - 1] |= 1 << i
-    by_pattern: dict[int, int] = {}
+    # twin classes in order of their least column, without the zero columns
+    by_pattern: dict[int, list[int]] = {}
     for j, p in enumerate(pattern, start=1):
-        by_pattern[p] = by_pattern.get(p, 0) | _bit(j)
-    twins = [c for c in by_pattern.values() if c & (c - 1)]
+        if p:
+            by_pattern.setdefault(p, []).append(j)
+    members = list(by_pattern.values())
+    # each undominated row as the mask of the classes it holds
+    rows = [0] * len(top)
+    for c, p in enumerate(by_pattern):
+        for i in _bits(p):
+            rows[i - 1] |= 1 << c
 
-    # visit[F] is cleared for |F| < 2 and for F inside one undominated row
-    visit = bytearray(b"\1") * (1 << n)
+    # visit[S] is cleared for |S| < 2 and for S inside one row
+    visit = bytearray(b"\1") * (1 << len(members))
     visit[0] = 0
-    for j in range(n):
-        visit[1 << j] = 0
-    for mk in top:
+    for c in range(len(members)):
+        visit[1 << c] = 0
+    for mk in rows:
         sub = mk
         while sub:
             visit[sub] = 0
             sub = (sub - 1) & mk
 
-    # (F, its columns, its solutions as (numerators, denominator)) per support
-    fractional: list[tuple[int, tuple[int, ...], set[tuple[tuple[int, ...], int]]]] = []
-    # solutions per distinct system of maximal rows compressed onto F
-    systems: dict[tuple[tuple[int, ...], ...], set[tuple[tuple[int, ...], int]]] = {}
-    for fmask in itertools.compress(range(1 << n), visit):
-        size = fmask.bit_count()
-        # too few undominated rows, or two columns of one twin class
-        if size > len(top) or any((x := fmask & c) & (x - 1) for c in twins):
+    full = (1 << n) - 1
+    # (S's classes, their solutions as (numerators, denominator), free) per
+    # fractional class set
+    fractional: list[tuple[tuple[int, ...], frozenset, int]] = []
+    for smask in itertools.compress(range(len(visit)), visit):
+        size = smask.bit_count()
+        if size > len(rows):
             continue
-        # the distinct restricted rows with two or more columns
-        restricted = [x for x in {mk & fmask for mk in top} if x & (x - 1)]
+        # the distinct restricted rows with two or more classes
+        restricted = [x for x in {mk & smask for mk in rows} if x & (x - 1)]
         if len(restricted) < size:
             continue
         # by popcount descending, so each row comes after all of its supersets
@@ -188,39 +205,49 @@ def _fractional_supports(m: BinaryMatrix):
                 maximal.append(x)
         if len(maximal) < size:
             continue
-        cols = tuple(_bits(fmask))
-        # per maximal row: its 0/1 coefficients on F
-        system = tuple(sorted(tuple((x >> (c - 1)) & 1 for c in cols) for x in maximal))
-        solutions = systems.get(system)
-        if solutions is None:
-            solutions = systems[system] = _solve_system(system, size)
+        classes = tuple(c - 1 for c in _bits(smask))
+        # each maximal row as a mask over S's positions
+        system = []
+        for x in maximal:
+            y = 0
+            for pos, c in enumerate(classes):
+                y |= (x >> c & 1) << pos
+            system.append(y)
+        solutions = _solve_system(size, tuple(sorted(system)))
         if solutions:
-            fractional.append((fmask, cols, solutions))
-    den = math.lcm(1, *(d for _, _, sols in fractional for _, d in sols))
-    full = (1 << n) - 1
+            closure = 0
+            for i, mk in enumerate(top):
+                if rows[i] & smask:
+                    closure |= mk
+            fractional.append((classes, solutions, full & ~closure))
+    den = math.lcm(1, *(d for _, sols, _ in fractional for _, d in sols))
     starts = [((0,) * n, 0, full)]
-    for fmask, cols, sols in fractional:
-        closure = fmask
-        for j in cols:
-            closure |= conflict[j - 1]
+    for classes, sols, free in fractional:
+        choices = list(itertools.product(*(members[c] for c in classes)))
         for nums, d in sols:
-            point = [0] * n
-            for j, a in zip(cols, nums):
-                point[j - 1] = a * (den // d)
-            starts.append((tuple(point), sum(point), full & ~closure))
+            scaled = [a * (den // d) for a in nums]
+            total = sum(scaled)
+            for chosen in choices:
+                point = [0] * n
+                for j, a in zip(chosen, scaled):
+                    point[j - 1] = a
+                starts.append((tuple(point), total, free))
     return conflict, den, starts
 
 
+@functools.lru_cache(maxsize=SOLVED_SYSTEM_MEMO_SIZE)
 def _solve_system(
-    system: tuple[tuple[int, ...], ...], size: int
-) -> set[tuple[tuple[int, ...], int]]:
+    size: int, system: tuple[int, ...]
+) -> frozenset[tuple[tuple[int, ...], int]]:
     """Every strictly fractional, feasible solution ``(numerators,
-    denominator)`` of a full-rank choice of ``size`` rows of ``system``, a
-    tuple of 0/1 coefficient rows over ``size`` columns, set tight.
+    denominator)`` of a full-rank choice of ``size`` rows of ``system`` set
+    tight.  Each row of ``system`` is the mask of the ``size`` columns it
+    holds.
     """
-    meets = [[i for i, a in enumerate(row) if a] for row in system]
+    coeffs = [[x >> i & 1 for i in range(size)] for x in system]
+    meets = [[i for i, a in enumerate(row) if a] for row in coeffs]
     solutions = set()
-    for basis in itertools.combinations(system, size):
+    for basis in itertools.combinations(coeffs, size):
         rows = [[*row, 1] for row in basis]
         if len(_eliminate(rows, size)) < size:
             continue
@@ -233,7 +260,7 @@ def _solve_system(
         if any(sum(nums[i] for i in at) > den for at in meets):
             continue
         solutions.add((nums, den))
-    return solutions
+    return frozenset(solutions)
 
 
 def polytope_vertices(m: BinaryMatrix) -> tuple[tuple[Fraction, ...], ...]:
@@ -379,7 +406,10 @@ def perfection_report(g: Graph) -> PerfectionReport:
     if g.n > ODD_HOLE_NODE_CAP:
         raise CapExceededError(f"odd hole search capped at {ODD_HOLE_NODE_CAP} nodes")
     m = closed_neighbourhood_matrix(g)
-    by_cliques = is_extended_clique_node_by_cliques(m)
+    # N[g] is square with ones on its diagonal, so it passes the recognizers'
+    # input checks; its one column intersection graph serves both uses
+    gq = clique_graph(m)
+    by_cliques = _cliques_certificate(m, gq)
     by_pattern = is_extended_clique_node_by_pattern(m)
     if by_cliques.verdict != by_pattern.verdict:
         raise ConsistencyError(
@@ -388,7 +418,6 @@ def perfection_report(g: Graph) -> PerfectionReport:
         )
     structural = find_undominated_obstruction(g)
 
-    gq = clique_graph(m)
     gq_perfect, gq_witness = is_perfect_graph(gq)
 
     member = by_cliques.verdict and gq_perfect

@@ -113,7 +113,13 @@ def is_extended_clique_node_by_cliques(m: BinaryMatrix) -> RecognitionCertificat
     clique in lexicographic order.
     """
     _check_recognizer_input(m)
-    gq = clique_graph(m)
+    return _cliques_certificate(m, clique_graph(m))
+
+
+def _cliques_certificate(m: BinaryMatrix, gq: Graph) -> RecognitionCertificate:
+    """``is_extended_clique_node_by_cliques`` on a checked ``m`` whose column
+    intersection graph ``gq`` the caller has already built.
+    """
     for i, mask in enumerate(m.row_masks, start=1):
         # holds by construction of gq; a failure would mean a bug here
         if any(mask & ~_bit(j) & ~gq.adj[j - 1] for j in _bits(mask)):

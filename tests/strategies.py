@@ -4,7 +4,12 @@ import itertools
 
 from hypothesis import strategies as st
 
-from kpacking import BinaryMatrix, Graph
+from kpacking import (
+    BinaryMatrix,
+    Graph,
+    closed_neighbourhood_matrix,
+    enumerate_connected_graphs,
+)
 
 
 @st.composite
@@ -91,6 +96,27 @@ def pruning_matrices(draw, max_rows=10, max_cols=8):
         masks = [mk & ~(1 << j) for mk in masks]
     masks = draw(st.permutations(masks))
     return BinaryMatrix(len(masks), cols, tuple(masks))
+
+
+@st.composite
+def twin_blowups(draw, max_cols=10):
+    """Binary matrix whose columns come in twin classes: a matrix on a few
+    base columns, each copied into one to three columns of the result, and
+    the result's columns shuffled so that a class's copies lie apart.  The
+    base is a closed neighbourhood matrix half the time, since those have
+    fractional supports far more often than random rows.
+    """
+    census = [g for n in (5, 6) for g in enumerate_connected_graphs(n)]
+    neighbourhoods = st.sampled_from(census).map(closed_neighbourhood_matrix)
+    base = draw(st.one_of(pruning_matrices(max_rows=8, max_cols=5), neighbourhoods))
+    copies = [draw(st.integers(1, 3)) for _ in range(base.cols)]
+    while sum(copies) > max_cols:
+        copies[copies.index(max(copies))] -= 1
+    source = draw(st.permutations([j for j, c in enumerate(copies) for _ in range(c)]))
+    masks = tuple(
+        sum(((mk >> j) & 1) << pos for pos, j in enumerate(source)) for mk in base.row_masks
+    )
+    return BinaryMatrix(len(masks), len(source), masks)
 
 
 @st.composite

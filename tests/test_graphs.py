@@ -30,7 +30,12 @@ from kpacking import (
     web,
     wheel,
 )
-from kpacking.graphs import _isomorphisms, _node_invariants
+from kpacking.graphs import (
+    _invariant_classes,
+    _isomorphisms,
+    _node_invariants,
+    _placement,
+)
 
 from helpers import (
     brute_canonical_code,
@@ -279,7 +284,8 @@ class TestIsomorphism:
 
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     inv = _node_invariants(g.adj)
-    return list(_isomorphisms(g.adj, inv, g.adj, inv))
+    classes = _invariant_classes(inv)
+    return list(_isomorphisms(_placement(g.adj, inv, classes), g.adj, classes))
 
 
 def preserves_edges(g: Graph, perm) -> bool:

@@ -36,6 +36,7 @@ from strategies import (
     connected_graphs,
     graphs,
     pruning_matrices,
+    twin_blowups,
 )
 
 
@@ -243,6 +244,65 @@ class TestSupportPass:
         for n in range(1, 8):
             for g in enumerate_connected_graphs(n):
                 self.assert_same_supports(closed_neighbourhood_matrix(g))
+
+    @pytest.mark.parametrize(
+        "g", [complete(10), web(10, 2), web(10, 3), wheel(10), wheel(9), cycle(10)]
+    )
+    def test_nine_and_ten_column_graphs(self, g):
+        self.assert_same_supports(closed_neighbourhood_matrix(g))
+
+    @pytest.mark.parametrize("shift", [1, 5])
+    def test_five_cycle_with_every_column_doubled(self, shift):
+        # column j has its twin at j + shift (shift 1: side by side; shift 5:
+        # the second copy of every column after all the first copies)
+        c5 = closed_neighbourhood_matrix(cycle(5)).row_masks
+        if shift == 1:
+            masks = [sum(3 << 2 * j for j in range(5) if mk >> j & 1) for mk in c5]
+        else:
+            masks = [mk | mk << 5 for mk in c5]
+        m = BinaryMatrix(5, 10, tuple(masks))
+        self.assert_same_supports(m)
+        # each fractional solution on F of C5's matrix comes back once per
+        # choice of one twin for each column of F
+        single = kpacking.perfection._fractional_supports(BinaryMatrix(5, 5, c5))[2]
+        expected = 1 + sum(2 ** sum(a > 0 for a in point) for point, _, _ in single[1:])
+        assert len(kpacking.perfection._fractional_supports(m)[2]) == expected
+
+    @given(twin_blowups())
+    @settings(max_examples=150, deadline=None)
+    def test_twin_classes_of_up_to_three_columns(self, m):
+        self.assert_same_supports(m)
+
+
+class TestSolvedSystemMemo:
+    """The restricted systems solved once per process, in a bounded memo."""
+
+    @staticmethod
+    def census_passes():
+        return [
+            kpacking.perfection._fractional_supports(closed_neighbourhood_matrix(g))
+            for n in range(1, 7)
+            for g in enumerate_connected_graphs(n)
+        ]
+
+    def test_cold_and_warm_memo_give_the_same_passes(self):
+        kpacking.perfection._solve_system.cache_clear()
+        cold = self.census_passes()
+        assert kpacking.perfection._solve_system.cache_info().hits > 0
+        warm = self.census_passes()
+        for (conflict, den, starts), (w_conflict, w_den, w_starts) in zip(cold, warm):
+            assert (conflict, den, starts[0]) == (w_conflict, w_den, w_starts[0])
+            assert sorted(starts) == sorted(w_starts)
+
+    def test_memo_never_exceeds_its_bound(self):
+        bound = kpacking.perfection.SOLVED_SYSTEM_MEMO_SIZE
+        solve = kpacking.perfection._solve_system
+        assert solve.cache_info().maxsize == bound
+        solve.cache_clear()
+        for n in range(1, 8):
+            for g in enumerate_connected_graphs(n):
+                kpacking.perfection._fractional_supports(closed_neighbourhood_matrix(g))
+                assert solve.cache_info().currsize <= bound
 
 
 class TestOddHoles:
