@@ -3,7 +3,7 @@
 
 import argparse
 
-from kpacking import FamilySpec, Graph, perfection_report, scaling_reports
+from kpacking import FamilySpec, perfection_report, scaling_reports
 
 ROWS = (
     ("complete", (5,)),
@@ -39,11 +39,9 @@ def run(k: int) -> None:
     print(header)
     print("-" * len(header))
     for name, params in ROWS:
-        built = FamilySpec(name, params).build()
-        if not isinstance(built, Graph):
-            continue
-        rep = perfection_report(built)
-        (scaling,) = scaling_reports(built, (k,), rep)
+        g = FamilySpec(name, params).build()
+        rep = perfection_report(g)
+        (scaling,) = scaling_reports(g, (k,), rep)
         label = name if not params else f"{name}({','.join(map(str, params))})"
         print(
             f"{label:<16} {flag(rep.extended_clique_node):>8} "

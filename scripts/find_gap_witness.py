@@ -6,25 +6,18 @@ Prints the first (smallest) witnesses found, one line each.
 """
 
 import argparse
-from dataclasses import dataclass
 
 from kpacking import enumerate_connected_graphs, solve_kpf, solve_limited_packing
 from kpacking.families import KNOWN_CENSUS_COUNTS
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    min_nodes: int = 2  # a bare node is a degenerate witness for any k >= 2
-    max_nodes: int = 5
-    budgets: tuple[int, ...] = (2, 3, 4)
-    limit: int = 10
-
-
-def run(config: SearchConfig) -> int:
+def run(min_nodes: int, max_nodes: int, budgets: tuple[int, ...], limit: int) -> int:
+    """Print the first ``limit`` gap witnesses with ``min_nodes`` to
+    ``max_nodes`` nodes and a budget in ``budgets``; return how many."""
     found = 0
-    for n in range(config.min_nodes, config.max_nodes + 1):
+    for n in range(min_nodes, max_nodes + 1):
         for g in enumerate_connected_graphs(n):
-            for k in config.budgets:
+            for k in budgets:
                 weighted = solve_kpf(g, k)
                 binary = solve_limited_packing(g, k).optimum
                 if weighted.optimum > binary:
@@ -35,7 +28,7 @@ def run(config: SearchConfig) -> int:
                         f"edges=[{edges}] witness=({values})"
                     )
                     found += 1
-                    if found >= config.limit:
+                    if found >= limit:
                         return found
     return found
 
@@ -81,6 +74,7 @@ def positive_int(text: str) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
+    # a bare node is a degenerate witness for any k >= 2
     parser.add_argument("--min-n", type=node_count, default=2)
     parser.add_argument("--max-n", type=node_count, default=5)
     parser.add_argument(
@@ -88,10 +82,7 @@ def main() -> int:
     )
     parser.add_argument("--limit", type=positive_int, default=10)
     args = parser.parse_args()
-    config = SearchConfig(
-        min_nodes=args.min_n, max_nodes=args.max_n, budgets=args.k, limit=args.limit
-    )
-    found = run(config)
+    found = run(args.min_n, args.max_n, args.k, args.limit)
     if not found:
         print("no gap witnesses in range")
         return 1

@@ -350,21 +350,17 @@ def _map_tasks(worker, tasks, jobs: int):
         return list(pool.map(worker, tasks, chunksize=8))
 
 
-def _census_upto(max_n: int):
-    for n in range(1, max_n + 1):
-        yield from enumerate_connected_graphs(n)
-
-
-def _run_census_suite(check, args, out, lists_k: bool = False) -> bool:
+def _run_census_suite(check, args, out) -> bool:
     """Run ``check(g, ks)`` on every census graph up to ``--max-n``; each
-    non-None result is a failure line."""
-    graphs = list(_census_upto(args.max_n))
+    non-None result is a failure line.  The summary lists ``--k`` when the
+    suite takes one."""
+    graphs = [g for n in range(1, args.max_n + 1) for g in enumerate_connected_graphs(n)]
     worker = functools.partial(check, ks=tuple(args.k))
     failures = [f for f in _map_tasks(worker, graphs, args.jobs) if f]
     for line in failures:
         out(line)
     summary = f"checked: {len(graphs)} connected graphs with at most {args.max_n} nodes"
-    if lists_k:
+    if args.k:
         summary += f", k in {{{','.join(map(str, args.k))}}}"
     out(summary)
     return not failures
@@ -416,11 +412,7 @@ def _suite_census(args, out) -> bool:
 _SUITES = {
     "recognizers": (functools.partial(_run_census_suite, _recognizer_failure), 7, None),
     "polytope": (functools.partial(_run_census_suite, _polytope_failure), 6, None),
-    "scaling": (
-        functools.partial(_run_census_suite, _scaling_failure, lists_k=True),
-        6,
-        [2, 3, 4],
-    ),
+    "scaling": (functools.partial(_run_census_suite, _scaling_failure), 6, [2, 3, 4]),
     "webs": (_suite_webs, 12, [1, 2, 3, 4]),
     "census": (_suite_census, 7, None),
 }

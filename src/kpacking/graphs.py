@@ -78,12 +78,6 @@ class Graph:
     def nodes(self) -> range:
         return range(1, self.n + 1)
 
-    def degree(self, v: int) -> int:
-        return self.adj[v - 1].bit_count()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u - 1] & _bit(v))
-
     def closed_mask(self, v: int) -> int:
         return self.adj[v - 1] | _bit(v)
 
@@ -381,18 +375,23 @@ def _data_lines(text: str):
         yield no, line
 
 
-def parse_graph(text: str) -> Graph:
+def _header(text: str, kind: str, names: str):
+    """The data lines of a ``kind`` file, the number of its first line and
+    the two integers on it, called ``names`` in the error messages."""
     lines = list(_data_lines(text))
     if not lines:
-        raise ParseError("empty graph file")
+        raise ParseError(f"empty {kind} file")
     no, head = lines[0]
-    parts = head.split()
-    if len(parts) != 2:
-        raise ParseError(f"line {no}: expected 'n m'")
     try:
-        n, m = int(parts[0]), int(parts[1])
+        # one token too many or too few fails the unpacking
+        a, b = map(int, head.split())
     except ValueError:
-        raise ParseError(f"line {no}: expected 'n m'") from None
+        raise ParseError(f"line {no}: expected '{names}'") from None
+    return lines, no, a, b
+
+
+def parse_graph(text: str) -> Graph:
+    lines, no, n, m = _header(text, "graph", "n m")
     if n < 1 or m < 0:
         raise ParseError(f"line {no}: need n >= 1 and m >= 0")
     if n > GRAPH_FILE_NODE_CAP:
@@ -427,17 +426,7 @@ def format_graph(g: Graph) -> str:
 
 
 def parse_matrix(text: str) -> BinaryMatrix:
-    lines = list(_data_lines(text))
-    if not lines:
-        raise ParseError("empty matrix file")
-    no, head = lines[0]
-    parts = head.split()
-    if len(parts) != 2:
-        raise ParseError(f"line {no}: expected 'r c'")
-    try:
-        r, c = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError(f"line {no}: expected 'r c'") from None
+    lines, no, r, c = _header(text, "matrix", "r c")
     if r < 1 or c < 1:
         raise ParseError(f"line {no}: need r >= 1 and c >= 1")
     if len(lines) - 1 != r:

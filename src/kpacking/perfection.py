@@ -172,11 +172,10 @@ def _fractional_supports(m: BinaryMatrix):
         for i in _bits(p):
             rows[i - 1] |= 1 << c
 
-    # visit[S] is cleared for |S| < 2 and for S inside one row
+    # visit[S] is cleared for |S| < 2 and for S inside one row; each class
+    # lies in some row, so the submasks of the rows cover every one-class S
     visit = bytearray(b"\1") * (1 << len(members))
     visit[0] = 0
-    for c in range(len(members)):
-        visit[1 << c] = 0
     for mk in rows:
         sub = mk
         while sub:

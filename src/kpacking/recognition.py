@@ -235,6 +235,14 @@ def _obstruction_kind(g: Graph, mask: int) -> str | None:
     return None
 
 
+def _dominator(g: Graph, mask: int) -> int | None:
+    """The least node outside ``mask`` adjacent to every node in it, or None."""
+    return next(
+        (v for v in g.nodes() if not mask & _bit(v) and g.adj[v - 1] & mask == mask),
+        None,
+    )
+
+
 def find_undominated_obstruction(g: Graph) -> RecognitionCertificate:
     """Graph-side screen: scan induced 4/5/6-cycles and 3-suns; accept iff each
     one has an outside node adjacent to all of its nodes (containment may be
@@ -264,14 +272,7 @@ def find_undominated_obstruction(g: Graph) -> RecognitionCertificate:
             if kind is None:
                 continue
             subset = tuple(_bits(mask))
-            dom = next(
-                (
-                    v
-                    for v in g.nodes()
-                    if not mask & _bit(v) and g.adj[v - 1] & mask == mask
-                ),
-                None,
-            )
+            dom = _dominator(g, mask)
             if dom is None:
                 return RecognitionCertificate(
                     "structural",
@@ -398,6 +399,4 @@ def _recheck_structural(payload: dict, g: Graph, verdict: bool) -> bool:
     kind = _obstruction_kind(g, mask)
     if kind is None or kind != payload.get("obstruction_kind"):
         return False
-    return not any(
-        not mask & _bit(v) and g.adj[v - 1] & mask == mask for v in g.nodes()
-    )
+    return _dominator(g, mask) is None

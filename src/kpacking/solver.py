@@ -26,7 +26,7 @@ from .perfection import (
 )
 
 SOLVER_NODE_CAP = 24
-SOLVER_EXPLORED_CAP = 5 * 10**6  # children tried by one branch-and-bound run
+SOLVER_EXPLORED_CAP = 5 * 10**6  # children counted by one branch-and-bound run
 BRUTEFORCE_STATE_CAP = 10**8
 
 
@@ -66,8 +66,11 @@ def _branch_and_bound(g: Graph, k: int, unit_values: bool) -> SolveResult:
     """Depth-first search over the nodes by decreasing degree, each node
     trying its values from the largest feasible one down to 0.
 
-    Giving value t to the node at depth i is one explored child.  It is
-    searched only if ``total + t + min(pooled, capped)`` beats the incumbent:
+    Giving value t to the node at depth i is one explored child.  A node
+    counts all of its children, t from its value cap down to 0, when the
+    search enters it, whether they are searched or pruned.  A child is
+    searched only if ``total + t + min(pooled, capped)`` beats the
+    incumbent:
 
     * ``pooled`` is the slack left in all n rows divided by the smallest
       closed neighbourhood among the nodes still to assign.  The rows
@@ -98,18 +101,18 @@ def _branch_and_bound(g: Graph, k: int, unit_values: bool) -> SolveResult:
 
     ``later`` is at least every child's ``capped``, and ``need`` grows as t
     falls, so once ``later <= need`` the child and every smaller t are
-    pruned and counted at once.  At the last depth ``later`` is 0, so no
-    leaf is searched unless it beats the incumbent.
+    pruned at once.  At the last depth ``later`` is 0, so no leaf is
+    searched unless it beats the incumbent.
 
-    Once more than ``SOLVER_EXPLORED_CAP`` children have been tried the search
-    raises ``CapExceededError``.
+    Once the count passes ``SOLVER_EXPLORED_CAP`` the search raises
+    ``CapExceededError``.  The search tree does not depend on the count, so
+    it raises exactly when the whole search would count more.
     """
     if k < 1:
         raise ValueError("the packing bound k must be a positive integer")
     if g.n > SOLVER_NODE_CAP:
         raise CapExceededError(f"solver capped at {SOLVER_NODE_CAP} nodes")
     explored_cap = SOLVER_EXPLORED_CAP
-    over_cap = f"solver explored more than {explored_cap} nodes"
     n = g.n
     adj = g.adj
     # 0-based node indices by decreasing degree; sorted() keeps ties ascending
@@ -143,6 +146,10 @@ def _branch_and_bound(g: Graph, k: int, unit_values: bool) -> SolveResult:
         row = rows[i]
         size = len(row)
         cap = min(top, *map(at, row))
+        # the children t = cap..0, searched or pruned
+        explored += cap + 1
+        if explored > explored_cap:
+            raise CapExceededError(f"solver explored more than {explored_cap} nodes")
         # at least every child's capped: caps only fall as t grows
         later = (n - i - 1) * top if ahead is None else ahead - cap
         # s_j of each meeting row that some t <= cap can lower, read when a
@@ -150,17 +157,11 @@ def _branch_and_bound(g: Graph, k: int, unit_values: bool) -> SolveResult:
         # residuals, so they hold for all children
         slacks = None
         for t in range(cap, -1, -1):
-            explored += 1
-            if explored > explored_cap:
-                raise CapExceededError(over_cap)
             # search the child only if min(pooled, capped) > need
             need = best_value - total - t
             if later <= need:
                 # capped <= later <= need prunes this child, and each
                 # smaller t has a larger need
-                explored += t
-                if explored > explored_cap:
-                    raise CapExceededError(over_cap)
                 break
             child_slack = slack - t * size
             capped = None

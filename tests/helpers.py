@@ -22,6 +22,14 @@ from kpacking.perfection import VERTEX_ENUMERATION_COLUMN_CAP, _eliminate
 TOTALLY_BALANCED_COLUMN_CAP = 16
 
 
+def has_edge(g: Graph, u: int, v: int) -> bool:
+    return bool(g.adj[u - 1] & _bit(v))
+
+
+def degree(g: Graph, v: int) -> int:
+    return g.adj[v - 1].bit_count()
+
+
 def neighbours(g: Graph, v: int) -> tuple[int, ...]:
     return tuple(_bits(g.adj[v - 1]))
 
@@ -75,11 +83,11 @@ def maximal_cliques_bruteforce(g: Graph) -> tuple[tuple[int, ...], ...]:
     cliques = []
     for size in range(1, g.n + 1):
         for members in itertools.combinations(g.nodes(), size):
-            if not all(g.has_edge(u, v) for u, v in itertools.combinations(members, 2)):
+            if not all(has_edge(g, u, v) for u, v in itertools.combinations(members, 2)):
                 continue
             # maximal iff no outside node is adjacent to every member
             if any(
-                all(g.has_edge(w, u) for u in members)
+                all(has_edge(g, w, u) for u in members)
                 for w in g.nodes()
                 if w not in members
             ):
@@ -119,7 +127,7 @@ def reference_screen(g: Graph):
                 continue
             outside = [v for v in g.nodes() if v not in subset]
             dom = next(
-                (v for v in outside if all(g.has_edge(v, u) for u in subset)), None
+                (v for v in outside if all(has_edge(g, v, u) for u in subset)), None
             )
             if dom is None:
                 return False, kind, subset, None
@@ -315,7 +323,7 @@ def reference_branch_and_bound(g: Graph, k: int, unit_values: bool) -> SolveResu
         raise CapExceededError("solver node cap")
     explored_cap = kpacking.solver.SOLVER_EXPLORED_CAP
     n = g.n
-    order = sorted(g.nodes(), key=lambda v: (-g.degree(v), v))
+    order = sorted(g.nodes(), key=lambda v: (-degree(g, v), v))
     rows = [[v - 1 for v in _bits(g.closed_mask(u))] for u in order]
     min_suffix_size = [len(row) for row in rows]
     for i in range(n - 2, -1, -1):

@@ -39,7 +39,9 @@ from kpacking.graphs import (
 
 from helpers import (
     brute_canonical_code,
+    degree,
     degree_sequence,
+    has_edge,
     induced_subgraph,
     is_chordal,
     maximal_cliques_bruteforce,
@@ -55,9 +57,9 @@ class TestGraphBasics:
     def test_from_edges(self):
         g = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
         assert g.n == 4
-        assert g.has_edge(2, 1)
-        assert not g.has_edge(1, 3)
-        assert g.degree(2) == 2
+        assert has_edge(g, 2, 1)
+        assert not has_edge(g, 1, 3)
+        assert degree(g, 2) == 2
         assert neighbours(g, 3) == (2, 4)
         assert g.edges() == ((1, 2), (2, 3), (3, 4))
         assert g.edge_count() == 3
@@ -193,7 +195,7 @@ class TestInducedCycles:
             assert m >= 4
             for i, j in itertools.combinations(range(m), 2):
                 expected = (j - i) % m in (1, m - 1)
-                assert g.has_edge(c[i], c[j]) == expected
+                assert has_edge(g, c[i], c[j]) == expected
 
 
 class TestChordal:
@@ -368,6 +370,32 @@ class TestMatrixText:
     def test_row_length_mismatch(self):
         with pytest.raises(ParseError, match="line 3"):
             parse_matrix("2 3\n101\n10\n")
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_graph, "", "empty graph file"),
+        (parse_graph, "# comment only\n\n", "empty graph file"),
+        (parse_graph, "4\n1 2\n", "line 1: expected 'n m'"),
+        (parse_graph, "# three tokens\n4 1 2\n1 2\n", "line 2: expected 'n m'"),
+        (parse_graph, "4 x\n", "line 1: expected 'n m'"),
+        (parse_matrix, "", "empty matrix file"),
+        (parse_matrix, "# comment only\n\n", "empty matrix file"),
+        (parse_matrix, "2\n10\n01\n", "line 1: expected 'r c'"),
+        (parse_matrix, "# three tokens\n2 2 2\n10\n01\n", "line 2: expected 'r c'"),
+        (parse_matrix, "x 2\n", "line 1: expected 'r c'"),
+    ],
+    ids=[
+        f"{kind}-{case}"
+        for kind in ("graph", "matrix")
+        for case in ("empty", "comments-only", "one-token", "three-tokens", "not-an-integer")
+    ],
+)
+def test_header_errors_name_the_format(parse, text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
 
 
 TOKENS = st.one_of(

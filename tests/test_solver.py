@@ -49,6 +49,23 @@ class TestPackingFunction:
         assert PackingFunction(values=(0, 1, 0), k=2).is_binary()
 
 
+# (graph, k, solve_kpf (optimum, explored), solve_limited_packing (...)):
+# any change to the search order or the bound must update this table
+SEARCH_TREES = [
+    ("cycle(11)", cycle(11), 5, (18, 10378), (11, 22)),
+    ("cycle(5)", cycle(5), 20, (33, 4176), (5, 10)),
+    ("wheel(8)", wheel(8), 2, (2, 70), (2, 60)),
+    ("three_sun", three_sun(), 2, (3, 42), (3, 34)),
+    ("clique_cycle(2)", clique_cycle_family(2), 2, (5, 138), (5, 110)),
+    ("web(9,2)", web(9, 2), 3, (5, 60), (5, 14)),
+    # sparse at high k: most later rows miss the assigned node's row
+    ("cycle(13)", cycle(13), 5, (21, 29002), (13, 26)),
+    # dense: most later rows meet it
+    ("web(12,2)", web(12, 2), 3, (7, 392), (7, 44)),
+    ("wheel(14)", wheel(14), 3, (3, 1027), (3, 737)),
+]
+
+
 class TestSolveFixtures:
     def test_square_series(self):
         # optimum over the 4-cycle grows as floor(4k/3)
@@ -104,35 +121,20 @@ class TestSolveFixtures:
 
     @pytest.mark.parametrize(
         "solve, g, k, explored",
-        [(solve_kpf, cycle(13), 5, 29002), (solve_limited_packing, wheel(14), 3, 737)],
-        ids=["kpf-cycle(13)", "limited-wheel(14)"],
+        [(solve_kpf, g, k, kpf[1]) for _, g, k, kpf, _ in SEARCH_TREES]
+        + [(solve_limited_packing, g, k, lim[1]) for _, g, k, _, lim in SEARCH_TREES],
+        ids=[f"kpf-{case[0]}" for case in SEARCH_TREES]
+        + [f"limited-{case[0]}" for case in SEARCH_TREES],
     )
     def test_explored_cap_is_exact(self, monkeypatch, solve, g, k, explored):
-        # pruned children may be counted several at a time; the cap must
-        # still stop the search at the first child past it, and not before
+        # a node's children are counted when the search enters it; the cap
+        # must still stop exactly the searches that count past it
         monkeypatch.setattr(kpacking.solver, "SOLVER_EXPLORED_CAP", explored)
         assert solve(g, k).explored == explored
         monkeypatch.setattr(kpacking.solver, "SOLVER_EXPLORED_CAP", explored - 1)
         over = f"explored more than {explored - 1} "
         with pytest.raises(CapExceededError, match=over):
             solve(g, k)
-
-
-# (graph, k, solve_kpf (optimum, explored), solve_limited_packing (...)):
-# any change to the search order or the bound must update this table
-SEARCH_TREES = [
-    ("cycle(11)", cycle(11), 5, (18, 10378), (11, 22)),
-    ("cycle(5)", cycle(5), 20, (33, 4176), (5, 10)),
-    ("wheel(8)", wheel(8), 2, (2, 70), (2, 60)),
-    ("three_sun", three_sun(), 2, (3, 42), (3, 34)),
-    ("clique_cycle(2)", clique_cycle_family(2), 2, (5, 138), (5, 110)),
-    ("web(9,2)", web(9, 2), 3, (5, 60), (5, 14)),
-    # sparse at high k: most later rows miss the assigned node's row
-    ("cycle(13)", cycle(13), 5, (21, 29002), (13, 26)),
-    # dense: most later rows meet it
-    ("web(12,2)", web(12, 2), 3, (7, 392), (7, 44)),
-    ("wheel(14)", wheel(14), 3, (3, 1027), (3, 737)),
-]
 
 
 @pytest.mark.parametrize(
@@ -160,7 +162,7 @@ def assert_same_search(g, k):
 def test_search_matches_the_reference_search(g, dense, k):
     # The solver passes the sum of the later caps down the search, lowers it
     # per child by the drops of the later rows that meet the assigned row
-    # only, and counts the children below the sum's bound at once; the
+    # only, and counts a node's children when it enters the node; the
     # reference takes the least residual over every later row for every
     # child.  The complement of a sparse draw is dense, so that most later
     # rows meet the assigned one.
