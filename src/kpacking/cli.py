@@ -18,13 +18,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from .errors import (
-    CapExceededError,
-    ConsistencyError,
-    FamilyParameterError,
-    ParseError,
-    ZeroColumnError,
-)
+from .errors import CapExceededError, ConsistencyError, KpackingError, ParseError
 from .families import (
     FAMILIES,
     KNOWN_CENSUS_COUNTS,
@@ -47,6 +41,7 @@ from .graphs import (
 )
 from .perfection import (
     PerfectionReport,
+    _check_odd_hole_cap,
     is_perfect_matrix,
     perfection_report,
     polytope_vertices,
@@ -70,8 +65,12 @@ from .solver import (
 SCHEMA = 1
 
 
-def _rat(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+def _rat(x: Fraction | None) -> str | None:
+    return None if x is None else f"{x.numerator}/{x.denominator}"
+
+
+def _point(p) -> list[str] | None:
+    return None if p is None else [_rat(x) for x in p]
 
 
 def _dump(obj) -> str:
@@ -97,6 +96,16 @@ def _load(path: str, parse) -> tuple:
     return parse(text), {"sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
 
 
+def _load_instance(args) -> tuple:
+    """(graph or None, matrix, descriptor) from ``--graph`` or ``--matrix``;
+    a graph's matrix is its closed neighbourhood matrix."""
+    if args.graph is not None:
+        g, descriptor = _load(args.graph, parse_graph)
+        return g, closed_neighbourhood_matrix(g), descriptor
+    m, descriptor = _load(args.matrix, parse_matrix)
+    return None, m, descriptor
+
+
 def _emit(args, command: str, descriptor: dict, body: dict) -> None:
     """Write one report: the schema envelope around ``body``."""
     report = {"schema": SCHEMA, "command": command, "input": descriptor, **body}
@@ -107,9 +116,9 @@ def _parse_k_list(raw: str) -> list[int]:
     try:
         ks = [int(part) for part in raw.split(",") if part.strip()]
     except ValueError:
-        raise ValueError(f"bad k list {raw!r}") from None
+        raise argparse.ArgumentTypeError(f"bad k list {raw!r}") from None
     if not ks or any(k < 1 for k in ks):
-        raise ValueError("k values must be positive integers")
+        raise argparse.ArgumentTypeError("k values must be positive integers")
     return ks
 
 
@@ -142,18 +151,18 @@ def _cmd_solve(args) -> int:
             raise ValueError("--oracle applies to the integer variants only")
         value, point = lp_relaxation(g, args.k)
         body["optimum"] = _rat(value)
-        body["witness"] = {"unit_vertex": list(map(_rat, point))}
+        body["witness"] = {"unit_vertex": _point(point)}
     else:
-        solve = solve_kpf if args.variant == "kpf" else solve_limited_packing
+        solve, brute = {
+            "kpf": (solve_kpf, solve_kpf_bruteforce),
+            "limited": (solve_limited_packing, solve_limited_bruteforce),
+        }[args.variant]
         result = solve(g, args.k)
         body["optimum"] = result.optimum
         body["witness"] = {"k": args.k, "values": list(result.witness.values)}
         body["node_order"] = list(result.node_order)
         body["explored"] = result.explored
         if args.oracle:
-            brute = (
-                solve_kpf_bruteforce if args.variant == "kpf" else solve_limited_bruteforce
-            )
             oracle = brute(g, args.k).optimum
             body["oracle"] = {"optimum": oracle, "agrees": oracle == result.optimum}
     _emit(args, "solve", descriptor, body)
@@ -169,14 +178,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_recognize(args) -> int:
-    if args.graph is not None:
-        g, descriptor = _load(args.graph, parse_graph)
-        m = closed_neighbourhood_matrix(g)
-    else:
-        g = None
-        m, descriptor = _load(args.matrix, parse_matrix)
-        if args.method == "structural":
-            raise ValueError("the structural method needs a graph input")
+    g, m, descriptor = _load_instance(args)
+    if g is None and args.method == "structural":
+        raise ValueError("the structural method needs a graph input")
     # in this order, so that the same cap fires first; a matrix has no screen
     recognizers = (
         ("cliques", is_extended_clique_node_by_cliques, m),
@@ -224,31 +228,20 @@ def _verdict_sections(rep: PerfectionReport) -> dict:
         },
         "witnesses": {
             "clique_graph": witness,
-            "fractional_vertex": (
-                None
-                if rep.fractional_vertex is None
-                else list(map(_rat, rep.fractional_vertex))
-            ),
+            "fractional_vertex": _point(rep.fractional_vertex),
         },
     }
 
 
 def _cmd_perfection(args) -> int:
-    if args.graph is not None:
-        g, descriptor = _load(args.graph, parse_graph)
-        m = closed_neighbourhood_matrix(g)
+    g, m, descriptor = _load_instance(args)
+    if g is not None:
         body = _verdict_sections(perfection_report(g))
     else:
-        m, descriptor = _load(args.matrix, parse_matrix)
         verdict, fractional = is_perfect_matrix(m)
-        body = {
-            "matrix_perfect": verdict,
-            "fractional_vertex": (
-                None if fractional is None else list(map(_rat, fractional))
-            ),
-        }
+        body = {"matrix_perfect": verdict, "fractional_vertex": _point(fractional)}
     if args.emit_vertices:
-        body["vertices"] = [list(map(_rat, p)) for p in polytope_vertices(m)]
+        body["vertices"] = [_point(p) for p in polytope_vertices(m)]
     _emit(args, "perfection", descriptor, body)
     return 0
 
@@ -278,19 +271,18 @@ def _cmd_analyze(args) -> int:
             "kpf": r.kpf_value,
             "limited": r.limited_value,
             "k_times_l1": r.k_times_l1,
-            "relaxation": None if r.lp_value is None else _rat(r.lp_value),
+            "relaxation": _rat(r.lp_value),
             "scaling_equality": r.equality,
         }
         for r in scaling
     }
-    unit = rep.unit_relaxation
 
     body = {
         "graph": {"nodes": g.n, "edges": [list(e) for e in g.edges()]},
         **_verdict_sections(rep),
         "packing": {
             "l1": scaling[0].l1_value,
-            "unit_relaxation": None if unit is None else _rat(unit),
+            "unit_relaxation": _rat(rep.unit_relaxation),
             "per_k": per_k,
         },
     }
@@ -312,6 +304,10 @@ def _edge_text(g: Graph) -> str:
     return " ".join(f"{u}-{v}" for u, v in g.edges())
 
 
+def _counterexample(g: Graph, detail) -> str:
+    return f"counterexample: n={g.n} edges=[{_edge_text(g)}] {detail}"
+
+
 def _recognizer_failure(g: Graph, ks: tuple[int, ...]) -> str | None:
     m = closed_neighbourhood_matrix(g)
     a = is_extended_clique_node_by_cliques(m).verdict
@@ -319,27 +315,26 @@ def _recognizer_failure(g: Graph, ks: tuple[int, ...]) -> str | None:
     c = find_undominated_obstruction(g).verdict
     if a == b == c:
         return None
-    return (
-        f"counterexample: n={g.n} edges=[{_edge_text(g)}] "
-        f"cliques={a} pattern={b} structural={c}"
-    )
+    return _counterexample(g, f"cliques={a} pattern={b} structural={c}")
+
+
+def _inconsistency(g: Graph, run) -> str | None:
+    """The counterexample line for ``g`` if ``run()`` finds its verdict paths
+    inconsistent, else None."""
+    try:
+        run()
+    except ConsistencyError as exc:
+        return _counterexample(g, exc)
+    return None
 
 
 def _polytope_failure(g: Graph, ks: tuple[int, ...]) -> str | None:
-    try:
-        perfection_report(g)
-    except ConsistencyError as exc:
-        return f"counterexample: n={g.n} edges=[{_edge_text(g)}] {exc}"
-    return None
+    return _inconsistency(g, lambda: perfection_report(g))
 
 
 def _scaling_failure(g: Graph, ks: tuple[int, ...]) -> str | None:
     # a violation's message names its k
-    try:
-        scaling_reports(g, ks, perfection_report(g))
-    except ConsistencyError as exc:
-        return f"counterexample: n={g.n} edges=[{_edge_text(g)}] {exc}"
-    return None
+    return _inconsistency(g, lambda: scaling_reports(g, ks, perfection_report(g)))
 
 
 def _map_tasks(worker, tasks, jobs: int):
@@ -426,8 +421,11 @@ def _cmd_verify(args) -> int:
     least_n = 2 if args.suite == "webs" else 1
     if args.max_n < least_n:
         raise ValueError(f"the {args.suite} suite needs --max-n of at least {least_n}")
-    # the other suites walk the census: refuse its size before building any of it
-    if args.suite != "webs":
+    # refuse a range beyond the suite's cap before building any graph of it:
+    # web(n, k) has n nodes, and the other suites walk the census
+    if args.suite == "webs":
+        _check_odd_hole_cap(args.max_n)
+    else:
         _check_census_size(args.max_n)
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
@@ -538,6 +536,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# exit code of each error class that is not bad input (exit 2)
+_EXIT_CODES = ((CapExceededError, 3), (ConsistencyError, 1), (OSError, 4))
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -545,18 +547,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ParseError, FamilyParameterError, ZeroColumnError, ValueError) as exc:
+    except (KpackingError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except CapExceededError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except ConsistencyError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 4
+        return next((code for cls, code in _EXIT_CODES if isinstance(exc, cls)), 2)
 
 
 if __name__ == "__main__":

@@ -69,8 +69,6 @@ class Graph:
         for u, v in edges:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"edge ({u},{v}) out of range 1..{n}")
-            if u == v:
-                raise ValueError(f"self-loop on node {u}")
             adj[u - 1] |= _bit(v)
             adj[v - 1] |= _bit(u)
         return cls(n, tuple(adj))
@@ -400,23 +398,20 @@ def parse_graph(text: str) -> Graph:
         )
     if len(lines) - 1 != m:
         raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
-    seen = set()
+    adj = [0] * n
     for no, line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"line {no}: expected 'u v'")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            # one token too many or too few fails the unpacking
+            u, v = map(int, line.split())
         except ValueError:
             raise ParseError(f"line {no}: expected 'u v'") from None
         if not (1 <= u < v <= n):
             raise ParseError(f"line {no}: edge ({u},{v}) violates 1 <= u < v <= {n}")
-        if (u, v) in seen:
+        if adj[u - 1] & _bit(v):
             raise ParseError(f"line {no}: duplicate edge ({u},{v})")
-        seen.add((u, v))
-        edges.append((u, v))
-    return Graph.from_edges(n, edges)
+        adj[u - 1] |= _bit(v)
+        adj[v - 1] |= _bit(u)
+    return Graph(n, tuple(adj))
 
 
 def format_graph(g: Graph) -> str:

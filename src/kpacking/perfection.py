@@ -40,12 +40,16 @@ VERTEX_ENUMERATION_COLUMN_CAP = 10
 SOLVED_SYSTEM_MEMO_SIZE = 1024
 
 
+def _check_odd_hole_cap(n: int) -> None:
+    if n > ODD_HOLE_NODE_CAP:
+        raise CapExceededError(f"odd hole search capped at {ODD_HOLE_NODE_CAP} nodes")
+
+
 def find_odd_hole(g: Graph):
     """First induced odd cycle of length >= 5 in the deterministic search
     order, or None.  Graphs above the node cap are rejected.
     """
-    if g.n > ODD_HOLE_NODE_CAP:
-        raise CapExceededError(f"odd hole search capped at {ODD_HOLE_NODE_CAP} nodes")
+    _check_odd_hole_cap(g.n)
     return find_induced_cycle(g, 5, odd_only=True)
 
 
@@ -402,8 +406,7 @@ def perfection_report(g: Graph) -> PerfectionReport:
     above ``ODD_HOLE_NODE_CAP`` are refused before any work, because the odd
     hole search on the n-node column intersection graph would refuse them.
     """
-    if g.n > ODD_HOLE_NODE_CAP:
-        raise CapExceededError(f"odd hole search capped at {ODD_HOLE_NODE_CAP} nodes")
+    _check_odd_hole_cap(g.n)
     m = closed_neighbourhood_matrix(g)
     # N[g] is square with ones on its diagonal, so it passes the recognizers'
     # input checks; its one column intersection graph serves both uses

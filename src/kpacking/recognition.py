@@ -301,7 +301,7 @@ def recheck_certificate(
     """
     _check_payload_shape(payload)
     method = payload.get("method")
-    verdict = payload.get("verdict")
+    verdict = payload["verdict"]
     if method in ("cliques", "pattern"):
         if matrix is None:
             if graph is None:
@@ -325,6 +325,9 @@ def _is_int_list(value) -> bool:
 def _check_payload_shape(payload) -> None:
     if not isinstance(payload, dict):
         raise ParseError("certificate must be a JSON object")
+    # exact type: a verdict read by truthiness would accept "no" or 1
+    if type(payload.get("verdict")) is not bool:
+        raise ParseError("certificate field 'verdict' must be a JSON boolean")
     for field in ("uncovered_clique", "pattern_columns", "pattern_rows",
                   "pattern_zeros", "obstruction_nodes"):
         if field in payload and not _is_int_list(payload[field]):
@@ -361,28 +364,21 @@ def _recheck_pattern(payload: dict, m: BinaryMatrix, verdict: bool) -> bool:
     if verdict:
         return is_extended_clique_node_by_pattern(m).verdict
     try:
-        a, b, c = payload["pattern_rows"]
-        ca, cb, cc = payload["pattern_zeros"]
+        rows, zeros = payload["pattern_rows"], payload["pattern_zeros"]
         cols = payload["pattern_columns"]
-    except (KeyError, ValueError):
+    except KeyError:
         return False
-    idx = (a - 1, b - 1, c - 1)
-    if not all(0 <= i < m.rows for i in idx):
+    if len(rows) != 3 or len(zeros) != 3 or not all(1 <= r <= m.rows for r in rows):
         return False
-    ra, rb, rc = (m.row_masks[i] for i in idx)
-    # each zero column misses exactly its own row among the three
-    for col, miss in ((ca, "a"), (cb, "b"), (cc, "c")):
+    masks = [m.row_masks[r - 1] for r in rows]
+    for i, col in enumerate(zeros):
         if not 1 <= col <= m.cols:
             return False
         bit = _bit(col)
-        want = {
-            "a": (0, bit, bit),
-            "b": (bit, 0, bit),
-            "c": (bit, bit, 0),
-        }[miss]
-        if (ra & bit, rb & bit, rc & bit) != want:
+        # zero column i misses row i of the three and lies in the other two
+        if any(bool(r & bit) == (j == i) for j, r in enumerate(masks)):
             return False
-    ext = (ra & rb & rc) | _mask_of((ca, cb, cc))
+    ext = (masks[0] & masks[1] & masks[2]) | _mask_of(zeros)
     if tuple(_bits(ext)) != tuple(cols):
         return False
     return not any(r & ext == ext for r in m.row_masks)

@@ -1,0 +1,30 @@
+"""The library names the benchmark looks up by ``getattr``.
+
+``bench/tracing.py`` wraps each function in ``TRACED`` by name, and the
+benchmark reads ``KNOWN_CENSUS_COUNTS`` through ``kpacking.cli``; renaming or
+moving one breaks the traced bench run, which the tests do not otherwise run.
+"""
+
+import importlib
+import runpy
+from pathlib import Path
+
+import pytest
+
+import kpacking.cli
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def _traced():
+    traced = runpy.run_path(str(TRACING))["TRACED"]
+    return [(module, name) for module, names in traced.items() for name in names]
+
+
+@pytest.mark.parametrize("module, name", _traced(), ids=lambda part: part)
+def test_traced_function_exists(module, name):
+    assert callable(getattr(importlib.import_module(f"kpacking.{module}"), name, None))
+
+
+def test_census_counts_reachable_through_the_cli():
+    assert kpacking.cli.KNOWN_CENSUS_COUNTS[1] == 1

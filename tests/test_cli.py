@@ -23,6 +23,7 @@ from kpacking import (
     parse_matrix,
     three_sun,
     web,
+    wheel,
 )
 from kpacking.cli import main
 
@@ -398,6 +399,32 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "webs", "--max-n", "8", "--k", "1,2")
         assert code == 0
 
+    def test_webs_beyond_the_odd_hole_cap_is_refused_before_any_work(
+        self, capsys, monkeypatch
+    ):
+        def unused(g):
+            raise AssertionError(f"web with {g.n} nodes built for a refused --max-n")
+
+        monkeypatch.setattr(kpacking.cli, "perfection_report", unused)
+        code, out, err = run(capsys, "verify", "webs", "--max-n", "17")
+        assert code == 3
+        assert out == ""
+        assert err == "error: odd hole search capped at 16 nodes\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("verify", "webs", "--k", "0"), "k values must be positive integers"),
+            (("analyze", "--family", "cycle", "5", "--k", "x"), "bad k list 'x'"),
+        ],
+        ids=["verify-zero", "analyze-not-an-integer"],
+    )
+    def test_bad_k_names_the_rule(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.endswith(f"error: argument --k: {message}\n")
+
     def test_parallel_jobs(self, capsys):
         code, _, _ = run(capsys, "verify", "recognizers", "--max-n", "5", "--jobs", "2")
         assert code == 0
@@ -549,6 +576,26 @@ class TestVerifyCertificate:
         assert code == 2
         assert out == ""
         assert err.startswith("error: certificate")
+
+
+    def test_non_boolean_verdict_is_a_parse_error(self, capsys, tmp_path):
+        # a valid cover of the wheel; read by truthiness, "no" would recheck it
+        graph_path = tmp_path / "w6.graph"
+        graph_path.write_text(format_graph(wheel(6)))
+        code, out, _ = run(
+            capsys, "recognize", "--graph", str(graph_path), "--method", "cliques",
+            "--certificate",
+        )
+        assert code == 0
+        cert = json.loads(out)["methods"]["cliques"]["certificate"]
+        assert cert["verdict"] is True
+        cert["verdict"] = "no"
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(cert))
+        code, out, err = run(capsys, "verify-certificate", str(cert_path), "--graph", str(graph_path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: certificate field 'verdict' must be a JSON boolean\n"
 
 
 class TestErrorPaths:

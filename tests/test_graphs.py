@@ -398,6 +398,26 @@ def test_header_errors_name_the_format(parse, text, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3 1\n1\n", "line 2: expected 'u v'"),
+        ("3 1\n1 2 3\n", "line 2: expected 'u v'"),
+        ("3 1\n1 x\n", "line 2: expected 'u v'"),
+        ("3 1\n0 2\n", "line 2: edge (0,2) violates 1 <= u < v <= 3"),
+        ("3 1\n1 4\n", "line 2: edge (1,4) violates 1 <= u < v <= 3"),
+        ("3 1\n2 2\n", "line 2: edge (2,2) violates 1 <= u < v <= 3"),
+        ("3 3\n1 2\n# again\n2 3\n1 2\n", "line 5: duplicate edge (1,2)"),
+    ],
+    ids=["one-token", "three-tokens", "not-an-integer", "below-range", "above-range",
+         "self-loop", "duplicate"],
+)
+def test_edge_line_errors(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_graph(text)
+    assert str(info.value) == message
+
+
 TOKENS = st.one_of(
     st.integers(-2, 9).map(str),
     st.sampled_from(["01", "10", "111", "#", "x", "1e3", "2_0", "\u0663"]),

@@ -336,6 +336,26 @@ class TestCertificateRecheck:
         with pytest.raises(ParseError):
             recheck_certificate(payload, graph=g)
 
+    @pytest.mark.parametrize("verdict", ["no", 1, 0, None, "missing"])
+    @pytest.mark.parametrize("method", ["cliques", "pattern", "structural"])
+    def test_verdict_must_be_a_json_boolean(self, method, verdict):
+        # a sound witness of each method: a cover of the wheel's cliques, a
+        # pattern of the octahedron, an undominated obstruction of the 3-sun
+        g, recognize = {
+            "cliques": (wheel(6), is_extended_clique_node_by_cliques),
+            "pattern": (web(6, 2), is_extended_clique_node_by_pattern),
+            "structural": (three_sun(), lambda _: find_undominated_obstruction(three_sun())),
+        }[method]
+        m = closed_neighbourhood_matrix(g)
+        payload = recognize(m).to_payload()
+        assert recheck_certificate(payload, graph=g, matrix=m)
+        if verdict == "missing":
+            del payload["verdict"]
+        else:
+            payload["verdict"] = verdict
+        with pytest.raises(ParseError, match="verdict"):
+            recheck_certificate(payload, graph=g, matrix=m)
+
     def test_wrong_input_rejected(self):
         m = closed_neighbourhood_matrix(web(6, 2))
         payload = is_extended_clique_node_by_cliques(m).to_payload()
