@@ -310,16 +310,22 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     return _isomorphic(plan, h.adj, _invariant_classes(inv_h))
 
 
-def induced_cycles(g: Graph, min_length: int = 4, odd_only: bool = False):
+def induced_cycles(
+    g: Graph, min_length: int = 4, odd_only: bool = False, max_length: int | None = None
+):
     """Yield chordless induced cycles of length >= min_length, one tuple each.
 
     Each cycle appears exactly once: rotation is fixed by starting at its
     smallest node, reflection by requiring the second node to be smaller than
     the closing node.  The search order (smallest start node first, then
-    depth-first over ascending labels) is deterministic.
+    depth-first over ascending labels) is deterministic.  With ``max_length``
+    the search extends no path that could only close longer cycles, so the
+    output is the unbounded one without the cycles above ``max_length``.
     """
     n, adj = g.n, g.adj
     full = (1 << n) - 1
+    # the most nodes a path may reach: its cycles have one node more
+    longest_path = n - 1 if max_length is None else min(n, max_length) - 1
     for s in range(1, n + 1):
         sadj = adj[s - 1]
         gt = full & ~((1 << s) - 1)
@@ -341,13 +347,15 @@ def induced_cycles(g: Graph, min_length: int = 4, odd_only: bool = False):
             path.append(last)
             used |= low
             cand = adj[last - 1] & gt & ~used & ~blocked
+            # the closing nodes above the second node, which fixes reflection
+            closing = cand & sadj >> path[1] << path[1]
             length = len(path) + 1
-            if length >= min_length and (not odd_only or length % 2 == 1):
-                for u in _bits(cand & sadj):
-                    if u > path[1]:
-                        yield tuple(path) + (u,)
-            if len(path) < n - 1:
-                stack.append((used, blocked | adj[last - 1], cand & ~sadj))
+            if closing and length >= min_length and (not odd_only or length % 2 == 1):
+                for u in _bits(closing):
+                    yield tuple(path) + (u,)
+            children = cand & ~sadj
+            if children and len(path) < longest_path:
+                stack.append((used, blocked | adj[last - 1], children))
             else:
                 path.pop()
 

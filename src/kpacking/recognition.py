@@ -8,7 +8,9 @@ Three verdict paths are provided:
                   pairwise-complementary zeros, extended by every column where
                   all three rows agree on 1, with no row covering the extension.
 * ``structural``: a graph-side screen that looks for small undominated induced
-                  subgraphs (4/5/6-cycles and the 3-sun).  It only applies to
+                  subgraphs (4/5/6-cycles and the 3-sun), listing them from a
+                  bounded induced cycle search and from triangles with three
+                  ears rather than from node subsets.  It only applies to
                   closed neighbourhood matrices.  The first two paths are exact
                   and provably equivalent; the structural screen is reported
                   separately because it can disagree (see README).
@@ -19,7 +21,6 @@ re-checked independently via :func:`recheck_certificate`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import CapExceededError, ConsistencyError, ParseError, ZeroColumnError
@@ -31,14 +32,18 @@ from .graphs import (
     _connected_within,
     _mask_of,
     closed_neighbourhood_matrix,
+    induced_cycles,
     maximal_cliques,
 )
 
-# the screen tries about n**6 / 720 node subsets: 1.0 s at n = 24 (cycle(24),
-# 2-vCPU x86-64 VM, Python 3.11)
+# the screen lists the induced cycles up to length 6 and the 3-suns: at n = 24
+# it takes at most 11 ms on cycle(24), K_{12,12} and seeded connected G(24, p)
+# for p = 0.3, 0.5, 0.7, and 19 ms on the worst graph found (2-vCPU x86-64 VM,
+# Python 3.11)
 STRUCTURAL_SCREEN_NODE_CAP = 24
 # row triples visited plus extension checks made by one pattern search; a run
-# stopped by it ends in 6.5-8.5 s on the VM above (random dense 64 x 64 matrix)
+# stopped by it ends in 0.6-1.3 s on the VM above (seeded random 64 x 64
+# matrices of density 0.5-0.8)
 PATTERN_WORK_CAP = 4 * 10**6
 
 
@@ -160,6 +165,8 @@ def is_extended_clique_node_by_pattern(m: BinaryMatrix) -> RecognitionCertificat
     passes it for every sub-extension too, so checking maximal extensions only
     is exhaustive; a missing covering row is itself the violation witness.
     Negative witness: minimal (column set, row triple) in lexicographic order.
+    Each column keeps the mask of the rows holding it, so the rows covering
+    an extension are found by ANDing masks rather than by scanning rows.
 
     Raises ``CapExceededError`` once the row triples visited plus the
     extension checks made exceed ``PATTERN_WORK_CAP``.
@@ -168,6 +175,15 @@ def is_extended_clique_node_by_pattern(m: BinaryMatrix) -> RecognitionCertificat
     work_cap = PATTERN_WORK_CAP
     work = 0
     rows = m.row_masks
+    # per column j, the rows (bit i for row i + 1) that have a 1 in column j
+    holders = [0] * m.cols
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        while row:
+            low = row & -row
+            holders[low.bit_length() - 1] |= bit
+            row ^= low
+    all_rows = (1 << m.rows) - 1
     best = None
     for a, ra in enumerate(rows):
         for b in range(a + 1, m.rows):
@@ -188,18 +204,26 @@ def is_extended_clique_node_by_pattern(m: BinaryMatrix) -> RecognitionCertificat
                 if work > work_cap:
                     raise _pattern_work_exceeded(work_cap)
                 common = both & rc
-                carriers = [r for r in rows if r & common == common]
+                # the rows holding every column of common
+                hc = all_rows
+                rest = common
+                while rest:
+                    low = rest & -rest
+                    hc &= holders[low.bit_length() - 1]
+                    rest ^= low
                 for ca in _bits(za):
+                    ha = hc & holders[ca - 1]
                     for cb in _bits(zb):
-                        pair = _bit(ca) | _bit(cb)
-                        carriers2 = [r for r in carriers if r & pair == pair]
+                        hb = ha & holders[cb - 1]
                         for cc in _bits(zc):
-                            ext = common | pair | _bit(cc)
-                            if any(r & ext == ext for r in carriers2):
+                            if hb & holders[cc - 1]:
                                 continue
-                            # a later row triple never beats an equal column set
+                            ext = common | _bit(ca) | _bit(cb) | _bit(cc)
+                            # a later row triple never beats an equal column
+                            # set, and a larger cc gives a later column set
                             if best is None or _lex_less(ext, best[0]):
                                 best = (ext, (a + 1, b + 1, c + 1), (ca, cb, cc))
+                            break
     if best is None:
         return RecognitionCertificate("pattern", True)
     ext, row_triple, zeros = best
@@ -218,7 +242,8 @@ _OBSTRUCTION_SIZES = (4, 5, 6)
 def _obstruction_kind(g: Graph, mask: int) -> str | None:
     """Kind of the subgraph that ``mask`` induces in ``g``: "cycle<size>" for
     an induced cycle, "sun" for a 3-sun, else None.  Only the sizes the
-    screen scans have a kind.
+    screen scans have a kind.  The screen lists its structures without it;
+    the certificate recheck classifies each claimed node set with it.
     """
     size = mask.bit_count()
     if size not in _OBSTRUCTION_SIZES:
@@ -237,17 +262,48 @@ def _obstruction_kind(g: Graph, mask: int) -> str | None:
 
 def _dominator(g: Graph, mask: int) -> int | None:
     """The least node outside ``mask`` adjacent to every node in it, or None."""
-    return next(
-        (v for v in g.nodes() if not mask & _bit(v) and g.adj[v - 1] & mask == mask),
-        None,
-    )
+    # no node is its own neighbour, so a common neighbour lies outside mask
+    common = (1 << g.n) - 1
+    for v in _bits(mask):
+        common &= g.adj[v - 1]
+    return (common & -common).bit_length() or None
+
+
+def _suns(g: Graph):
+    """Yield the node mask of each induced 3-sun of ``g``, once each: from
+    its triangle a < b < c of degree-4 nodes, with one ear per triangle edge
+    adjacent to that edge's ends only, the three ears pairwise non-adjacent.
+    """
+    adj = g.adj
+    for a in g.nodes():
+        na = adj[a - 1]
+        for b in _bits(na >> a << a):  # the neighbours above a
+            nb = adj[b - 1]
+            for c in _bits(na & (nb >> b << b)):
+                nc = adj[c - 1]
+                tri = _bit(a) | _bit(b) | _bit(c)
+                ears_ab = na & nb & ~nc & ~tri
+                ears_bc = nb & nc & ~na & ~tri
+                ears_ac = na & nc & ~nb & ~tri
+                if not (ears_ab and ears_bc and ears_ac):
+                    continue
+                for x in _bits(ears_ab):
+                    nx = adj[x - 1]
+                    for y in _bits(ears_bc & ~nx):
+                        for z in _bits(ears_ac & ~nx & ~adj[y - 1]):
+                            yield tri | _bit(x) | _bit(y) | _bit(z)
 
 
 def find_undominated_obstruction(g: Graph) -> RecognitionCertificate:
-    """Graph-side screen: scan induced 4/5/6-cycles and 3-suns; accept iff each
-    one has an outside node adjacent to all of its nodes (containment may be
-    exact).  Negative witness: the first undominated subgraph, scanning sizes
-    ascending and node subsets in lexicographic order.
+    """Graph-side screen over the induced 4/5/6-cycles and 3-suns; accept iff
+    each one has an outside node adjacent to all of its nodes (containment may
+    be exact).  Negative witness: the first undominated subgraph, taking sizes
+    ascending and node tuples in lexicographic order.
+
+    The cycles come from one ``induced_cycles`` search bounded at length 6
+    and the suns from their central triangles, so the work follows the
+    structures present rather than the node subsets.  All of them are listed
+    first, then tested in order of size and node tuple.
 
     The screen is one-sided.  A rejection means ``N[G]`` is not an extended
     clique-node matrix.  An acceptance does not mean that it is: the exact
@@ -261,26 +317,21 @@ def find_undominated_obstruction(g: Graph) -> RecognitionCertificate:
         raise CapExceededError(
             f"structural screen capped at {STRUCTURAL_SCREEN_NODE_CAP} nodes"
         )
-    singles = [_bit(v) for v in g.nodes()]
+    cycles = induced_cycles(g, 4, max_length=6)
+    found = [(tuple(sorted(c)), f"cycle{len(c)}") for c in cycles]
+    found += [(tuple(_bits(mask)), "sun") for mask in _suns(g)]
+    found.sort(key=lambda item: (len(item[0]), item[0]))
     dominated = []
-    for size in _OBSTRUCTION_SIZES:
-        if size > g.n:
-            break
-        for bits in itertools.combinations(singles, size):
-            mask = sum(bits)
-            kind = _obstruction_kind(g, mask)
-            if kind is None:
-                continue
-            subset = tuple(_bits(mask))
-            dom = _dominator(g, mask)
-            if dom is None:
-                return RecognitionCertificate(
-                    "structural",
-                    False,
-                    obstruction_kind=kind,
-                    obstruction_nodes=subset,
-                )
-            dominated.append((kind, subset, dom))
+    for nodes, kind in found:
+        dom = _dominator(g, _mask_of(nodes))
+        if dom is None:
+            return RecognitionCertificate(
+                "structural",
+                False,
+                obstruction_kind=kind,
+                obstruction_nodes=nodes,
+            )
+        dominated.append((kind, nodes, dom))
     return RecognitionCertificate("structural", True, dominated=tuple(dominated))
 
 
@@ -295,9 +346,10 @@ def recheck_certificate(
 
     ``structural`` certificates need the graph; the other methods need the
     matrix (pass the closed neighbourhood matrix when the instance is a graph).
-    Positive certificates are rechecked by rerunning the recognizer; negative
-    ones by validating the stored witness directly.  A payload of the wrong
-    JSON shape raises ParseError.
+    Positive certificates are rechecked by rerunning the recognizer, and a
+    positive structural one also has each dominated entry checked on its own;
+    negative ones by validating the stored witness directly.  A payload of the
+    wrong JSON shape raises ParseError.
     """
     _check_payload_shape(payload)
     method = payload.get("method")
@@ -338,6 +390,16 @@ def _check_payload_shape(payload) -> None:
         and type(item.get("row")) is int for item in cover
     ):
         raise ParseError("certificate cover items need a 'clique' list and a 'row' integer")
+    dominated = payload.get("dominated", [])
+    if not isinstance(dominated, list) or not all(
+        isinstance(item, dict) and type(item.get("kind")) is str
+        and _is_int_list(item.get("nodes")) and type(item.get("dominator")) is int
+        for item in dominated
+    ):
+        raise ParseError(
+            "certificate dominated items need a 'kind' string, a 'nodes' list "
+            "and a 'dominator' integer"
+        )
 
 
 def _recheck_cliques(payload: dict, m: BinaryMatrix, verdict: bool) -> bool:
@@ -384,15 +446,36 @@ def _recheck_pattern(payload: dict, m: BinaryMatrix, verdict: bool) -> bool:
     return not any(r & ext == ext for r in m.row_masks)
 
 
-def _recheck_structural(payload: dict, g: Graph, verdict: bool) -> bool:
-    if verdict:
-        return find_undominated_obstruction(g).verdict
-    nodes = payload.get("obstruction_nodes", [])
-    # the screen emits distinct labels in ascending order
+def _is_obstruction(g: Graph, nodes: list, kind) -> bool:
+    """Whether ``nodes`` lists distinct labels of ``g`` in ascending order, as
+    the screen emits them, that induce a subgraph of kind ``kind``."""
     if not nodes or nodes != sorted(set(nodes)) or nodes[0] < 1 or nodes[-1] > g.n:
         return False
-    mask = _mask_of(nodes)
-    kind = _obstruction_kind(g, mask)
-    if kind is None or kind != payload.get("obstruction_kind"):
+    found = _obstruction_kind(g, _mask_of(nodes))
+    return found is not None and found == kind
+
+
+def _recheck_structural(payload: dict, g: Graph, verdict: bool) -> bool:
+    if not verdict:
+        nodes = payload.get("obstruction_nodes", [])
+        return (
+            _is_obstruction(g, nodes, payload.get("obstruction_kind"))
+            and _dominator(g, _mask_of(nodes)) is None
+        )
+    dominated = payload.get("dominated")
+    if dominated is None:
         return False
-    return _dominator(g, mask) is None
+    # each entry on its own first, then the whole list against a rerun
+    for item in dominated:
+        nodes, dom = item["nodes"], item["dominator"]
+        if not _is_obstruction(g, nodes, item["kind"]):
+            return False
+        # no node is its own neighbour, so a neighbour of all lies outside
+        mask = _mask_of(nodes)
+        if not 1 <= dom <= g.n or g.adj[dom - 1] & mask != mask:
+            return False
+    claimed = tuple(
+        (item["kind"], tuple(item["nodes"]), item["dominator"]) for item in dominated
+    )
+    rerun = find_undominated_obstruction(g)
+    return rerun.verdict and rerun.dominated == claimed

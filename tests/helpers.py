@@ -10,6 +10,7 @@ from kpacking import (
     CapExceededError,
     Graph,
     PackingFunction,
+    RecognitionCertificate,
     SolveResult,
     find_induced_cycle,
     is_isomorphic,
@@ -18,6 +19,7 @@ from kpacking import (
 )
 from kpacking.graphs import _bit, _bits
 from kpacking.perfection import VERTEX_ENUMERATION_COLUMN_CAP, _eliminate
+from kpacking.recognition import _lex_less
 
 TOTALLY_BALANCED_COLUMN_CAP = 16
 
@@ -133,6 +135,52 @@ def reference_screen(g: Graph):
                 return False, kind, subset, None
             dominated.append((kind, subset, dom))
     return True, None, None, tuple(dominated)
+
+
+def reference_pattern(m: BinaryMatrix) -> RecognitionCertificate:
+    """The forbidden 3-row pattern search before it kept row-holder masks:
+    per row triple it lists the rows covering the triple's common columns,
+    per zero-column pair the rows covering the pair too, and it tests every
+    third zero column against that list.  Triple order and the minimal
+    witness rule are those of ``is_extended_clique_node_by_pattern``; the
+    work cap is left to the library.  Expects a square matrix with no zero
+    row or column.
+    """
+    rows = m.row_masks
+    best = None
+    for a, ra in enumerate(rows):
+        for b in range(a + 1, m.rows):
+            rb = rows[b]
+            only_b, only_a, both = ~ra & rb, ra & ~rb, ra & rb
+            for c in range(b + 1, m.rows):
+                rc = rows[c]
+                za = only_b & rc
+                zb = only_a & rc
+                zc = both & ~rc
+                if not (za and zb and zc):
+                    continue
+                common = both & rc
+                carriers = [r for r in rows if r & common == common]
+                for ca in _bits(za):
+                    for cb in _bits(zb):
+                        pair = _bit(ca) | _bit(cb)
+                        carriers2 = [r for r in carriers if r & pair == pair]
+                        for cc in _bits(zc):
+                            ext = common | pair | _bit(cc)
+                            if any(r & ext == ext for r in carriers2):
+                                continue
+                            if best is None or _lex_less(ext, best[0]):
+                                best = (ext, (a + 1, b + 1, c + 1), (ca, cb, cc))
+    if best is None:
+        return RecognitionCertificate("pattern", True)
+    ext, row_triple, zeros = best
+    return RecognitionCertificate(
+        "pattern",
+        False,
+        pattern_columns=tuple(_bits(ext)),
+        pattern_rows=row_triple,
+        pattern_zeros=zeros,
+    )
 
 
 def universal_nodes(g: Graph) -> tuple[int, ...]:

@@ -577,6 +577,39 @@ class TestVerifyCertificate:
         assert out == ""
         assert err.startswith("error: certificate")
 
+    @pytest.mark.parametrize(
+        "dominated, code",
+        [
+            ([{"kind": "sun", "nodes": [1, 2], "dominator": 99}], 1),
+            ("garbage", 2),
+            (None, 1),
+        ],
+        ids=["forged-entry", "not-a-list", "missing"],
+    )
+    def test_forged_positive_structural_certificate(self, capsys, tmp_path, dominated, code):
+        # the screen accepts the wheel: its rim is dominated by the hub
+        graph_path = tmp_path / "w5.graph"
+        graph_path.write_text(format_graph(wheel(5)))
+        _, out, _ = run(
+            capsys, "recognize", "--graph", str(graph_path), "--method", "structural",
+            "--certificate",
+        )
+        cert = json.loads(out)["methods"]["structural"]["certificate"]
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(cert))
+        args = ("verify-certificate", str(cert_path), "--graph", str(graph_path))
+        assert run(capsys, *args)[0] == 0
+        if dominated is None:
+            del cert["dominated"]
+        else:
+            cert["dominated"] = dominated
+        cert_path.write_text(json.dumps(cert))
+        got, out, err = run(capsys, *args)
+        assert got == code
+        if code == 1:
+            assert json.loads(out)["valid"] is False
+        else:
+            assert out == "" and err.startswith("error: certificate dominated")
 
     def test_non_boolean_verdict_is_a_parse_error(self, capsys, tmp_path):
         # a valid cover of the wheel; read by truthiness, "no" would recheck it

@@ -179,6 +179,14 @@ class TestInducedCycles:
         assert list(induced_cycles(cycle(6), min_length=5, odd_only=True)) == []
         assert list(induced_cycles(cycle(5), min_length=5, odd_only=True)) == [(1, 2, 3, 4, 5)]
 
+    @pytest.mark.parametrize("bound", [4, 5, 6])
+    def test_max_length_filters_the_unbounded_output(self, bound):
+        # the bound prunes the search without reordering what it yields
+        for n in range(1, 8):
+            for g in enumerate_connected_graphs(n):
+                unbounded = [c for c in induced_cycles(g, 4) if len(c) <= bound]
+                assert list(induced_cycles(g, 4, max_length=bound)) == unbounded
+
     def test_each_cycle_reported_once(self):
         g = wheel(7)
         seen = set()

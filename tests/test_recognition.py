@@ -8,6 +8,7 @@ import kpacking.recognition
 from kpacking import (
     BinaryMatrix,
     Graph,
+    RecognitionCertificate,
     ZeroColumnError,
     clique_graph,
     closed_neighbourhood_matrix,
@@ -28,8 +29,14 @@ from kpacking.errors import CapExceededError, KpackingError, ParseError
 from kpacking.graphs import _bits
 from kpacking.recognition import _obstruction_kind
 
-from helpers import is_totally_balanced, reference_kind, reference_screen, row_support
-from strategies import binary_matrices, connected_graphs, joined_graphs
+from helpers import (
+    is_totally_balanced,
+    reference_kind,
+    reference_pattern,
+    reference_screen,
+    row_support,
+)
+from strategies import binary_matrices, connected_graphs, joined_graphs, square_matrices
 
 
 JSON = st.recursive(
@@ -54,7 +61,27 @@ CERTIFICATE_LIKE = st.fixed_dictionaries(
         "pattern_columns": SMALL_INTS | JSON,
         "obstruction_nodes": SMALL_INTS | JSON,
         "obstruction_kind": st.sampled_from(["cycle4", "cycle5", "sun"]) | JSON,
+        "dominated": st.lists(
+            st.fixed_dictionaries({
+                "kind": st.sampled_from(["cycle4", "cycle5", "cycle6", "sun"]) | JSON,
+                "nodes": SMALL_INTS | JSON,
+                "dominator": st.integers(-1, 8) | JSON,
+            }),
+            max_size=3,
+        )
+        | JSON,
     },
+)
+# a triangle 1 2 3 with two ears 4 and 5 on the edge 12, one ear on each other
+# edge and a node 8 adjacent to all: two dominated 3-suns share the triangle
+SHARED_TRIANGLE_SUNS = Graph.from_edges(
+    8,
+    [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (1, 5), (2, 5), (2, 6), (3, 6), (1, 7), (3, 7)]
+    + [(v, 8) for v in range(1, 8)],
+)
+# a 4-cycle and two nodes adjacent to all: the screen names the lesser, 5
+SQUARE_WITH_TWO_HUBS = Graph.from_edges(
+    6, cycle(4).edges() + tuple((v, hub) for hub in (5, 6) for v in range(1, hub))
 )
 
 
@@ -163,6 +190,19 @@ class TestExactRecognizers:
         monkeypatch.undo()
         assert is_extended_clique_node_by_pattern(m) == answer
 
+    @given(square_matrices(max_size=10))
+    @settings(max_examples=200, deadline=None)
+    def test_pattern_matches_the_reference_pattern(self, m):
+        assert is_extended_clique_node_by_pattern(m) == reference_pattern(m)
+
+    def test_pattern_matches_the_reference_on_the_census(self):
+        for n in range(1, 8):
+            for g in enumerate_connected_graphs(n):
+                m = closed_neighbourhood_matrix(g)
+                assert is_extended_clique_node_by_pattern(m) == reference_pattern(m), list(
+                    g.edges()
+                )
+
     @given(connected_graphs(max_nodes=6))
     @settings(max_examples=150, deadline=None)
     def test_methods_agree_on_neighbourhood_matrices(self, g):
@@ -226,11 +266,20 @@ class TestStructuralScreen:
             7, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6), (3, 7), (4, 7)]
         )
     )
+    @example(SHARED_TRIANGLE_SUNS)
     @settings(max_examples=80, deadline=None)
     def test_screen_matches_the_reference_screen(self, g):
         cert = find_undominated_obstruction(g)
         got = (cert.verdict, cert.obstruction_kind, cert.obstruction_nodes, cert.dominated)
         assert got == reference_screen(g)
+
+    def test_suns_sharing_a_triangle_are_listed_in_order(self):
+        cert = find_undominated_obstruction(SHARED_TRIANGLE_SUNS)
+        assert cert.verdict is True
+        assert cert.dominated == (
+            ("sun", (1, 2, 3, 4, 6, 7), 8),
+            ("sun", (1, 2, 3, 5, 6, 7), 8),
+        )
 
     def test_kinds_of_every_labelled_graph_on_six_nodes(self):
         # the screen names a 3-sun from its degrees alone; this checks that
@@ -285,6 +334,99 @@ class TestCertificateRecheck:
         g = three_sun()
         cert = find_undominated_obstruction(g)
         assert recheck_certificate(cert.to_payload(), graph=g)
+
+    def test_round_trip_structural_on_the_census(self):
+        for n in range(1, 7):
+            for g in enumerate_connected_graphs(n):
+                payload = find_undominated_obstruction(g).to_payload()
+                assert recheck_certificate(payload, graph=g), list(g.edges())
+
+    @pytest.mark.parametrize(
+        "g, dominated",
+        [
+            (wheel(5), [{"kind": "sun", "nodes": [1, 2], "dominator": 99}]),
+            (wheel(5), None),
+            (wheel(5), []),
+            # the hub's entry listed twice
+            (wheel(5), [{"kind": "cycle4", "nodes": [1, 2, 3, 4], "dominator": 5}] * 2),
+            (wheel(5), [{"kind": "cycle5", "nodes": [1, 2, 3, 4], "dominator": 5}]),
+            (wheel(5), [{"kind": "cycle4", "nodes": [2, 1, 3, 4], "dominator": 5}]),
+            (wheel(5), [{"kind": "cycle4", "nodes": [1, 2, 3, 4, 4], "dominator": 5}]),
+            (wheel(5), [{"kind": "cycle4", "nodes": [1, 2, 3, 4], "dominator": 1}]),
+            (wheel(5), [{"kind": "cycle4", "nodes": [1, 2, 3, 4], "dominator": 6}]),
+            (wheel(5), [{"kind": "cycle4", "nodes": [1, 2, 3, 4], "dominator": 0}]),
+            (wheel(5), [{"kind": "cycle4", "nodes": [1, 2, 3, 4], "dominator": -1}]),
+            # true of each entry, but not the least dominator the screen names
+            (SQUARE_WITH_TWO_HUBS, [{"kind": "cycle4", "nodes": [1, 2, 3, 4], "dominator": 6}]),
+            # both entries true, in the wrong order
+            (SHARED_TRIANGLE_SUNS, [
+                {"kind": "sun", "nodes": [1, 2, 3, 5, 6, 7], "dominator": 8},
+                {"kind": "sun", "nodes": [1, 2, 3, 4, 6, 7], "dominator": 8},
+            ]),
+        ],
+        ids=[
+            "short-sun", "missing", "empty", "repeated-entry", "wrong-kind",
+            "unsorted-labels", "repeated-label", "dominator-inside", "dominator-above-n",
+            "dominator-zero", "dominator-negative", "not-the-least-dominator",
+            "entries-reordered",
+        ],
+    )
+    def test_forged_positive_structural_certificate_rejected(self, g, dominated):
+        payload = find_undominated_obstruction(g).to_payload()
+        assert payload["verdict"] is True
+        assert recheck_certificate(payload, graph=g)
+        if dominated is None:
+            del payload["dominated"]
+        else:
+            payload["dominated"] = dominated
+        assert not recheck_certificate(payload, graph=g)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            ("sun", (1, 2), 99),
+            ("cycle5", (1, 2, 3, 4), 5),
+            ("cycle4", (1, 2, 3, 4), 1),
+            ("cycle4", (1, 2, 3, 4), 6),
+        ],
+        ids=["short-sun", "wrong-kind", "dominator-inside", "dominator-above-n"],
+    )
+    def test_entries_are_checked_without_the_rerun(self, monkeypatch, entry):
+        # a rerun that vouched for the forged list would not get it through
+        monkeypatch.setattr(
+            kpacking.recognition,
+            "find_undominated_obstruction",
+            lambda g: RecognitionCertificate("structural", True, dominated=(entry,)),
+        )
+        kind, nodes, dom = entry
+        payload = {
+            "method": "structural",
+            "verdict": True,
+            "dominated": [{"kind": kind, "nodes": list(nodes), "dominator": dom}],
+        }
+        assert not recheck_certificate(payload, graph=wheel(5))
+
+    @pytest.mark.parametrize(
+        "dominated",
+        [
+            "garbage",
+            None,
+            [[1, 2, 3, 4]],
+            [{"kind": 4, "nodes": [1, 2, 3, 4], "dominator": 5}],
+            [{"kind": "cycle4", "nodes": [True, 2, 3, 4], "dominator": 5}],
+            [{"kind": "cycle4", "nodes": "1234", "dominator": 5}],
+            [{"kind": "cycle4", "nodes": [1, 2, 3, 4], "dominator": True}],
+            [{"kind": "cycle4", "nodes": [1, 2, 3, 4]}],
+        ],
+        ids=[
+            "string", "null", "item-not-an-object", "integer-kind", "boolean-label",
+            "string-nodes", "boolean-dominator", "no-dominator",
+        ],
+    )
+    def test_malformed_dominated_list_is_a_parse_error(self, dominated):
+        payload = {"method": "structural", "verdict": True, "dominated": dominated}
+        with pytest.raises(ParseError, match="dominated"):
+            recheck_certificate(payload, graph=wheel(5))
 
     def test_tampered_witness_rejected(self):
         m = closed_neighbourhood_matrix(web(6, 2))
