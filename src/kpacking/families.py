@@ -172,7 +172,9 @@ def _census(n: int) -> tuple[Graph, ...]:
                     if any(_isomorphic(plan, a, c) for a, c in bucket):
                         continue
                 bucket.append((adj, classes))
-                out.append(Graph(n, tuple(adj)))
+                # node n joins both rows of each new edge, so the rows stay
+                # a valid graph's
+                out.append(Graph._unchecked(n, tuple(adj)))
     return tuple(out)
 
 

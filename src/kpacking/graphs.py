@@ -25,12 +25,35 @@ def _bit(v: int) -> int:
     return 1 << (v - 1)
 
 
-def _bits(mask: int):
-    """Yield the 1-based labels of the set bits of ``mask``, ascending."""
+# masks below 2**BITS_TABLE_WIDTH read their labels from one table; the width
+# covers every mask of a graph within VERTEX_ENUMERATION_COLUMN_CAP nodes
+BITS_TABLE_WIDTH = 10
+
+
+def _bits_table(width: int) -> tuple[tuple[int, ...], ...]:
+    """Per mask below 2**width, the 1-based labels of its set bits."""
+    table = [()]
+    for label in range(1, width + 1):
+        # the masks with top bit ``label`` follow those below it
+        table += [labels + (label,) for labels in table]
+    return tuple(table)
+
+
+_BITS_TABLE = _bits_table(BITS_TABLE_WIDTH)
+_BITS_TABLE_SIZE = len(_BITS_TABLE)
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The 1-based labels of the set bits of the non-negative ``mask``,
+    ascending."""
+    if mask < _BITS_TABLE_SIZE:
+        return _BITS_TABLE[mask]
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length()
+        out.append(low.bit_length())
         mask ^= low
+    return tuple(out)
 
 
 def _mask_of(labels) -> int:
@@ -62,6 +85,15 @@ class Graph:
             for u in _bits(self.adj[v - 1]):
                 if not self.adj[u - 1] & _bit(v):
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
+
+    @classmethod
+    def _unchecked(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        """A graph on rows built from a valid graph or matrix, which hold the
+        invariants ``__post_init__`` checks, so the checks are skipped."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        return g
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -152,7 +184,9 @@ def closed_neighbourhood_matrix(g: Graph) -> BinaryMatrix:
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
-    return Graph(g.n, tuple((full & ~row & ~_bit(v)) for v, row in enumerate(g.adj, 1)))
+    return Graph._unchecked(
+        g.n, tuple(full & ~row & ~_bit(v) for v, row in enumerate(g.adj, 1))
+    )
 
 
 def is_connected(g: Graph) -> bool:
@@ -196,7 +230,12 @@ def maximal_cliques(g: Graph) -> tuple[tuple[int, ...], ...]:
             raise CapExceededError(
                 f"maximal clique search did more than {work_cap} units of work"
             )
-        pivot = max(_bits(px), key=lambda v: (adj[v - 1] & p).bit_count())
+        # the first node of px with the most neighbours in p
+        most = -1
+        for v in _bits(px):
+            held = (adj[v - 1] & p).bit_count()
+            if held > most:
+                most, pivot = held, v
         for v in _bits(p & ~adj[pivot - 1]):
             bv = _bit(v)
             stack.append((r | bv, p & adj[v - 1], x & adj[v - 1]))

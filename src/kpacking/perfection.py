@@ -133,15 +133,12 @@ def _fractional_supports(m: BinaryMatrix):
 
     So the scan runs over the 2**r sets S of the r classes, and each
     fractional S expands into one support per choice of a member of each of
-    its classes, with the numerators on the chosen columns.  A class set is
-    skipped without scanning the rows when it cannot be fractional:
-
-    - |S| < 2: one strictly fractional coordinate meets no tight row.
-    - S lies inside one row: S itself is then the only maximal row.
-    - |S| exceeds the number of undominated rows: too few rows for a basis.
-
-    The first two are marked in one table over all class sets, built from
-    the submasks of each row; the last is tested on the sets left unmarked.
+    its classes, with the numerators on the chosen columns.  A basis on S
+    needs |S| distinct maximal restricted rows, each holding two or more
+    classes (one strictly fractional coordinate alone meets no tight row),
+    so ``_class_set_systems`` keeps only the class sets that have them,
+    testing all 2**r sets at once.  That rules out |S| < 2, S inside one row
+    (S is then the only maximal row) and |S| above the number of rows.
     The solutions of a system depend only on its maximal rows as masks over
     S's positions, so ``_solve_system`` keeps them in a memo shared by every
     call in the process, bounded by ``SOLVED_SYSTEM_MEMO_SIZE`` systems.
@@ -176,38 +173,12 @@ def _fractional_supports(m: BinaryMatrix):
         for i in _bits(p):
             rows[i - 1] |= 1 << c
 
-    # visit[S] is cleared for |S| < 2 and for S inside one row; each class
-    # lies in some row, so the submasks of the rows cover every one-class S
-    visit = bytearray(b"\1") * (1 << len(members))
-    visit[0] = 0
-    for mk in rows:
-        sub = mk
-        while sub:
-            visit[sub] = 0
-            sub = (sub - 1) & mk
-
     full = (1 << n) - 1
     # (S's classes, their solutions as (numerators, denominator), free) per
     # fractional class set
     fractional: list[tuple[tuple[int, ...], frozenset, int]] = []
-    for smask in itertools.compress(range(len(visit)), visit):
+    for smask, maximal in _class_set_systems(rows, len(members)):
         size = smask.bit_count()
-        if size > len(rows):
-            continue
-        # the distinct restricted rows with two or more classes
-        restricted = [x for x in {mk & smask for mk in rows} if x & (x - 1)]
-        if len(restricted) < size:
-            continue
-        # by popcount descending, so each row comes after all of its supersets
-        restricted.sort(key=int.bit_count, reverse=True)
-        maximal: list[int] = []
-        for i, x in enumerate(restricted):
-            if len(maximal) + len(restricted) - i < size:
-                break
-            if not any(x & y == x for y in maximal):
-                maximal.append(x)
-        if len(maximal) < size:
-            continue
         classes = tuple(c - 1 for c in _bits(smask))
         # each maximal row as a mask over S's positions
         system = []
@@ -236,6 +207,69 @@ def _fractional_supports(m: BinaryMatrix):
                     point[j - 1] = a
                 starts.append((tuple(point), total, free))
     return conflict, den, starts
+
+
+def _class_set_systems(rows: list[int], r: int):
+    """Yield ``(S, maximal)`` for each set S of two or more of the r classes
+    that has at least |S| maximal restricted rows of two or more classes;
+    ``maximal`` lists those restrictions ``row & S``, each once.  ``rows``
+    are the undominated rows as class masks, none inside another.
+
+    The test runs on all 2**r sets at once, on truth tables: ints with bit S
+    set for each class set S that has some property.  Row i's restriction
+    lies inside row j's on exactly the sets that miss ``rows[i] & ~rows[j]``.
+    It counts on S when it holds two or more classes of S, lies inside no
+    other row's restriction unless the two are equal, and equals no earlier
+    row's restriction.
+    """
+    everything = (1 << (1 << r)) - 1
+    # holding[c]: the sets holding class c, the upper 2**c of each block of
+    # 2**(c + 1) sets; the quotient puts a one at the start of every block
+    holding = [
+        everything // ((1 << (2 << c)) - 1) * (((1 << (1 << c)) - 1) << (1 << c))
+        for c in range(r)
+    ]
+    # meeting[i][j]: the sets that meet rows[i] outside rows[j]
+    meeting = []
+    for mi in rows:
+        line = []
+        for mj in rows:
+            sets = 0
+            for c in _bits(mi & ~mj):
+                sets |= holding[c - 1]
+            line.append(sets)
+        meeting.append(line)
+    # at_least[t]: the sets on which at least t restrictions count;
+    # counted[i]: the sets on which row i's restriction counts
+    at_least = [everything] + [0] * len(rows)
+    counted = []
+    for i, mi in enumerate(rows):
+        # the sets holding at least one and at least two classes of row i,
+        # then the latter cut to those where row i's restriction counts
+        one = two = 0
+        for c in _bits(mi):
+            two |= one & holding[c - 1]
+            one |= holding[c - 1]
+        for j in range(i):
+            two &= meeting[i][j]
+        for j in range(i + 1, len(rows)):
+            two &= meeting[i][j] | ~meeting[j][i]
+        counted.append(two)
+        for t in range(i + 1, 0, -1):
+            at_least[t] |= at_least[t - 1] & two
+    # larger[k]: the sets of k or more classes
+    larger = [everything] + [0] * (r + 1)
+    for c, sets in enumerate(holding):
+        for k in range(c + 1, 0, -1):
+            larger[k] |= larger[k - 1] & sets
+    keep = 0
+    for k in range(2, min(len(rows), r) + 1):
+        keep |= larger[k] & ~larger[k + 1] & at_least[k]
+    while keep:
+        low = keep & -keep
+        keep ^= low
+        smask = low.bit_length() - 1
+        yield smask, [mk & smask for mk, on in zip(rows, counted) if on >> smask & 1]
 
 
 @functools.lru_cache(maxsize=SOLVED_SYSTEM_MEMO_SIZE)
@@ -343,10 +377,12 @@ def _polytope_facts(
         if witness is None or point < witness:
             witness = point
     first = min((point for point, _, _ in starts[1:]), default=None)
+    # one Fraction per distinct numerator, shared by both points
+    coord = {a: Fraction(a, den) for a in {*witness, *(first or ())}}
     return (
-        None if first is None else tuple(Fraction(a, den) for a in first),
+        None if first is None else tuple(map(coord.__getitem__, first)),
         Fraction(best, den),
-        tuple(Fraction(a, den) for a in witness),
+        tuple(map(coord.__getitem__, witness)),
     )
 
 

@@ -99,8 +99,11 @@ def clique_graph(m: BinaryMatrix) -> Graph:
     adj = [0] * m.cols
     for row in m.row_masks:
         for j in _bits(row):
-            adj[j - 1] |= row & ~_bit(j)
-    return Graph(m.cols, tuple(adj))
+            adj[j - 1] |= row
+    # column j now holds every column sharing a row with it, itself too: a
+    # symmetric relation within the matrix's columns, so clearing the
+    # diagonal leaves a valid graph
+    return Graph._unchecked(m.cols, tuple(a & ~(1 << j) for j, a in enumerate(adj)))
 
 
 def _check_recognizer_input(m: BinaryMatrix) -> None:
@@ -125,9 +128,14 @@ def _cliques_certificate(m: BinaryMatrix, gq: Graph) -> RecognitionCertificate:
     """``is_extended_clique_node_by_cliques`` on a checked ``m`` whose column
     intersection graph ``gq`` the caller has already built.
     """
+    adj = gq.adj
     for i, mask in enumerate(m.row_masks, start=1):
-        # holds by construction of gq; a failure would mean a bug here
-        if any(mask & ~_bit(j) & ~gq.adj[j - 1] for j in _bits(mask)):
+        # the closed neighbourhoods of a clique's members all hold it; this
+        # holds by construction of gq, and a failure would mean a bug here
+        common = mask
+        for j in _bits(mask):
+            common &= adj[j - 1] | 1 << (j - 1)
+        if common != mask:
             raise ConsistencyError(f"row {i} support is not a clique")
     support_row = {}
     for i, mask in enumerate(m.row_masks, start=1):
@@ -305,11 +313,16 @@ def find_undominated_obstruction(g: Graph) -> RecognitionCertificate:
     structures present rather than the node subsets.  All of them are listed
     first, then tested in order of size and node tuple.
 
-    The screen is one-sided.  A rejection means ``N[G]`` is not an extended
-    clique-node matrix.  An acceptance does not mean that it is: the exact
-    recognizers reject two accepted graphs on 6 nodes, one of them the
-    octahedron ``web(6, 2)``, whose column intersection graph is ``K6`` with
-    a single maximal clique that is no row of ``N[G]``.
+    Neither verdict of the screen is exact.  An acceptance does not mean
+    that ``N[G]`` is an extended clique-node matrix: the exact recognizers
+    reject two accepted graphs on 6 nodes, one of them the octahedron
+    ``web(6, 2)``, whose column intersection graph is ``K6`` with a single
+    maximal clique that is no row of ``N[G]``.  Up to 7 nodes the exact
+    recognizers reject every graph the screen rejects, but not at 8: the
+    screen rejects ``1-2 1-3 1-4 1-6 1-7 1-8 2-5 2-6 2-8 3-5 3-7 3-8 4-6
+    4-7 5-8 6-8 7-8`` for its undominated induced 6-cycle 2-5-3-7-4-6, yet
+    both exact recognizers accept it.  A 6-cycle needs only its two
+    alternate triples covered: {2, 3, 4} lies in N[1] and {5, 6, 7} in N[8].
 
     Raises ``CapExceededError`` above ``STRUCTURAL_SCREEN_NODE_CAP`` nodes.
     """

@@ -246,20 +246,24 @@ def _exhaustive(g: Graph, k: int, top: int) -> SolveResult:
         raise CapExceededError(
             f"brute force needs {states} states, cap is {BRUTEFORCE_STATE_CAP}"
         )
-    closed = [g.closed_mask(v) for v in g.nodes()]
+    # the 0-based nodes of each closed neighbourhood, listed once per call
+    rows = [tuple(u - 1 for u in _bits(g.closed_mask(v))) for v in g.nodes()]
     best_value = -1
     best: tuple[int, ...] | None = None
     explored = 0
     for values in itertools.product(range(top, -1, -1), repeat=g.n):
         explored += 1
-        if any(
-            sum(values[u - 1] for u in _bits(mask)) > k for mask in closed
-        ):
-            continue
-        total = sum(values)
-        if total > best_value:
-            best_value = total
-            best = values
+        for row in rows:
+            load = 0
+            for u in row:
+                load += values[u]
+            if load > k:
+                break
+        else:
+            total = sum(values)
+            if total > best_value:
+                best_value = total
+                best = values
     assert best is not None
     return SolveResult(
         optimum=best_value,

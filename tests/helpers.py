@@ -24,6 +24,18 @@ from kpacking.recognition import _lex_less
 TOTALLY_BALANCED_COLUMN_CAP = 16
 
 
+def reference_bits(mask: int) -> tuple[int, ...]:
+    """The 1-based labels of the set bits of ``mask``, one bit at a time."""
+    out = []
+    label = 1
+    while mask:
+        if mask & 1:
+            out.append(label)
+        mask >>= 1
+        label += 1
+    return tuple(out)
+
+
 def has_edge(g: Graph, u: int, v: int) -> bool:
     return bool(g.adj[u - 1] & _bit(v))
 
@@ -258,6 +270,23 @@ def tight_constraint_rank(m: BinaryMatrix, point: tuple[Fraction, ...]) -> int:
                 rows[r] = [x - f * y for x, y in zip(row, prow)]
         rank += 1
     return rank
+
+
+def reference_class_set_systems(rows: list[int], r: int) -> list[tuple[int, list[int]]]:
+    """``perfection._class_set_systems`` one class set at a time: each set S
+    of two or more of the r classes whose distinct maximal restrictions
+    ``row & S`` of two or more classes number at least |S|, with those
+    restrictions in ascending order.
+    """
+    out = []
+    for smask in range(1 << r):
+        restricted = {mk & smask for mk in rows if (mk & smask).bit_count() >= 2}
+        maximal = sorted(
+            x for x in restricted if not any(x != y and x & y == x for y in restricted)
+        )
+        if smask.bit_count() >= 2 and len(maximal) >= smask.bit_count():
+            out.append((smask, maximal))
+    return out
 
 
 def reference_fractional_supports(m: BinaryMatrix):

@@ -118,6 +118,19 @@ def pruning_matrices(draw, max_rows=10, max_cols=8):
 
 
 @st.composite
+def class_antichains(draw, max_classes=8, max_rows=10):
+    """``(rows, r)``: distinct non-empty masks over r classes, none inside
+    another, in any order, as the support pass's undominated rows are."""
+    r = draw(st.integers(1, max_classes))
+    masks = draw(st.lists(st.integers(1, (1 << r) - 1), max_size=max_rows))
+    rows: list[int] = []
+    for mk in sorted(set(masks), key=int.bit_count, reverse=True):
+        if not any(mk & y == mk for y in rows):
+            rows.append(mk)
+    return draw(st.permutations(rows)), r
+
+
+@st.composite
 def twin_blowups(draw, max_cols=10):
     """Binary matrix whose columns come in twin classes: a matrix on a few
     base columns, each copied into one to three columns of the result, and

@@ -3,7 +3,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kpacking.graphs
@@ -31,11 +31,15 @@ from kpacking import (
     wheel,
 )
 from kpacking.graphs import (
+    BITS_TABLE_WIDTH,
+    _bits,
     _invariant_classes,
     _isomorphisms,
     _node_invariants,
     _placement,
 )
+from kpacking.perfection import VERTEX_ENUMERATION_COLUMN_CAP
+from kpacking.recognition import clique_graph
 
 from helpers import (
     brute_canonical_code,
@@ -46,11 +50,42 @@ from helpers import (
     is_chordal,
     maximal_cliques_bruteforce,
     neighbours,
+    reference_bits,
     relabel,
     row_support,
     universal_nodes,
 )
 from strategies import graphs
+
+
+class TestBits:
+    """The set-bit labels of a mask: from a table below 2**BITS_TABLE_WIDTH,
+    one bit at a time above it."""
+
+    def test_table_covers_every_vertex_enumeration_mask(self):
+        assert BITS_TABLE_WIDTH >= VERTEX_ENUMERATION_COLUMN_CAP
+
+    def test_every_mask_below_two_to_the_twelve(self):
+        for mask in range(1 << 12):
+            assert _bits(mask) == reference_bits(mask), mask
+
+    @given(
+        st.one_of(
+            st.integers(min_value=0, max_value=2**70),
+            # a few bits anywhere, so high sparse masks come up
+            st.sets(st.integers(min_value=0, max_value=70), max_size=4).map(
+                lambda positions: sum(1 << p for p in positions)
+            ),
+        )
+    )
+    @example(2**BITS_TABLE_WIDTH - 1)
+    @example(2**BITS_TABLE_WIDTH)
+    @example(2**BITS_TABLE_WIDTH + 1)
+    @example(2**70)
+    @example(2**70 - 1)
+    @settings(max_examples=300, deadline=None)
+    def test_large_masks(self, mask):
+        assert _bits(mask) == reference_bits(mask)
 
 
 class TestGraphBasics:
@@ -120,6 +155,18 @@ class TestComplementAndSubgraphs:
         g = Graph.from_edges(3, [(1, 2)])
         h = relabel(g, {1: 3, 2: 2, 3: 1})
         assert h.edges() == ((2, 3),)
+
+
+class TestDerivedGraphs:
+    """Graphs built from a valid graph or matrix skip the validating
+    constructor; their rows must pass it and give an equal graph."""
+
+    def test_census_graphs_and_their_derived_graphs(self):
+        for n in range(1, 8):
+            for g in enumerate_connected_graphs(n):
+                gq = clique_graph(closed_neighbourhood_matrix(g))
+                for h in (g, complement(g), gq, complement(gq)):
+                    assert Graph(h.n, h.adj) == h, g.edges()
 
 
 class TestConnectivityAndUniversal:

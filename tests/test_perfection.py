@@ -26,6 +26,7 @@ from kpacking import (
 )
 
 from helpers import (
+    reference_class_set_systems,
     reference_fractional_supports,
     reference_polytope_facts,
     tight_constraint_rank,
@@ -33,6 +34,7 @@ from helpers import (
 from strategies import (
     any_binary_matrices,
     binary_matrices,
+    class_antichains,
     connected_graphs,
     graphs,
     pruning_matrices,
@@ -272,6 +274,41 @@ class TestSupportPass:
     @settings(max_examples=150, deadline=None)
     def test_twin_classes_of_up_to_three_columns(self, m):
         self.assert_same_supports(m)
+
+
+class TestClassSetFilter:
+    """The class sets the support pass solves, picked on truth tables over
+    all sets at once, against a scan of one set at a time."""
+
+    @staticmethod
+    def assert_same_sets(rows, r):
+        found = [
+            (smask, sorted(maximal))
+            for smask, maximal in kpacking.perfection._class_set_systems(rows, r)
+        ]
+        assert sorted(found) == reference_class_set_systems(rows, r)
+
+    @given(class_antichains())
+    @settings(max_examples=300, deadline=None)
+    def test_antichains_of_up_to_eight_classes(self, case):
+        self.assert_same_sets(*case)
+
+    @pytest.mark.parametrize(
+        "rows, r",
+        [
+            ([], 1),
+            ([0b1], 1),
+            ([0b11], 2),
+            # the triangle's edges: three maximal pairs on three classes
+            ([0b011, 0b110, 0b101], 3),
+            # every pair of five classes, ten rows on 2**5 sets
+            ([(1 << a) | (1 << b) for a in range(5) for b in range(a + 1, 5)], 5),
+            # rows over all ten classes, the most the support pass meets
+            ([0b1111100000, 0b0000011111, 0b1010101010, 0b0101010101], 10),
+        ],
+    )
+    def test_edge_cases(self, rows, r):
+        self.assert_same_sets(rows, r)
 
 
 class TestSolvedSystemMemo:

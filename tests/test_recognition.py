@@ -20,7 +20,9 @@ from kpacking import (
     is_extended_clique_node_by_pattern,
     is_isomorphic,
     maximal_cliques,
+    perfection_report,
     recheck_certificate,
+    solve_kpf,
     three_sun,
     web,
     wheel,
@@ -247,12 +249,28 @@ class TestStructuralScreen:
         assert both_verdicts(closed_neighbourhood_matrix(g)) is False
 
     def test_screen_never_rejects_an_accepted_graph(self):
-        # the screen is one-sided: it may accept what the exact methods
-        # reject, never the reverse
+        # up to 7 nodes the screen may accept what the exact methods reject,
+        # never the reverse; at 8 nodes it rejects an accepted graph (below)
         for n in range(1, 8):
             for g in enumerate_connected_graphs(n):
                 if both_verdicts(closed_neighbourhood_matrix(g)):
                     assert find_undominated_obstruction(g).verdict, list(g.edges())
+
+    def test_screen_rejects_an_accepted_graph_at_eight_nodes(self):
+        # the undominated induced 6-cycle 2-5-3-7-4-6 does not stop N[G]
+        # from being a perfect extended clique-node matrix
+        edges = "1-2 1-3 1-4 1-6 1-7 1-8 2-5 2-6 2-8 3-5 3-7 3-8 4-6 4-7 5-8 6-8 7-8"
+        g = Graph.from_edges(8, [map(int, e.split("-")) for e in edges.split()])
+        cert = find_undominated_obstruction(g)
+        assert cert.verdict is False
+        assert (cert.obstruction_kind, cert.obstruction_nodes) == ("cycle6", (2, 3, 4, 5, 6, 7))
+        assert recheck_certificate(cert.to_payload(), graph=g) is True
+        assert both_verdicts(closed_neighbourhood_matrix(g)) is True
+        rep = perfection_report(g)
+        assert rep.neighbourhood_matrix_perfect is True
+        assert rep.matrix_perfect is True
+        assert rep.unit_relaxation == 2
+        assert [solve_kpf(g, k).optimum for k in range(1, 7)] == [2, 4, 6, 8, 10, 12]
 
     @given(
         st.one_of(
