@@ -15,6 +15,8 @@ import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from .errors import CapExceededError, ConsistencyError
 from .graphs import Graph, _bits, closed_neighbourhood_matrix
@@ -27,6 +29,15 @@ from .perfection import (
 
 SOLVER_NODE_CAP = 24
 SOLVER_EXPLORED_CAP = 5 * 10**6  # children counted by one branch-and-bound run
+# A run keys its nodes for the subtree memo only once it has counted this many
+# children.  Keying every node from the start made the median packing
+# benchmark op about 20% slower, as most searches are too small to repeat a
+# subtree.
+SOLVER_MEMO_THRESHOLD = 1000
+# The memo takes no entries beyond this many, about 150 B each.  Unbounded,
+# a capped wide search such as solve_kpf(cycle(7), 40) kept 259,885 of them
+# (RSS 54 MB against 19 MB); no packing benchmark instance needs over 3,440.
+SOLVER_MEMO_ENTRIES = 16384
 BRUTEFORCE_STATE_CAP = 10**8
 
 
@@ -104,15 +115,34 @@ def _branch_and_bound(g: Graph, k: int, unit_values: bool) -> SolveResult:
     pruned at once.  At the last depth ``later`` is 0, so no leaf is
     searched unless it beats the incumbent.
 
+    Once a run has counted ``SOLVER_MEMO_THRESHOLD`` children it replays
+    repeated subtrees from a memo.  A node at depth i is keyed by
+    ``(i, best_value - total, slack, ahead)`` and the residuals of its
+    frontier rows: the rows that a depth before i enters and a depth from i
+    on enters.  Rows that only later depths enter still hold k, and rows
+    that only earlier depths enter are never read again.  Every choice in
+    the subtree reads only these values, ``best_value`` relative to
+    ``total``, and the per-solve constants, so two nodes with one key search
+    the same subtree until it first beats the incumbent.  A subtree that
+    left ``best_value`` unchanged is stored with the children it counted,
+    and a later node with the same key adds that count and returns: its own
+    search would have counted as many children and changed nothing.  A node
+    that got ``ahead`` None always beats the incumbent, so it is never
+    keyed.  The memo stops taking entries at ``SOLVER_MEMO_ENTRIES``; which
+    subtrees it holds changes the time of a run, never its result or its
+    count.
+
     Once the count passes ``SOLVER_EXPLORED_CAP`` the search raises
-    ``CapExceededError``.  The search tree does not depend on the count, so
-    it raises exactly when the whole search would count more.
+    ``CapExceededError``.  The search tree does not depend on the count, and
+    a replay adds a subtree's whole count before the check, so it raises
+    exactly when the whole search would count more.
     """
     if k < 1:
         raise ValueError("the packing bound k must be a positive integer")
     if g.n > SOLVER_NODE_CAP:
         raise CapExceededError(f"solver capped at {SOLVER_NODE_CAP} nodes")
     explored_cap = SOLVER_EXPLORED_CAP
+    over = f"solver explored more than {explored_cap} nodes"
     n = g.n
     adj = g.adj
     # 0-based node indices by decreasing degree; sorted() keeps ties ascending
@@ -129,6 +159,12 @@ def _branch_and_bound(g: Graph, k: int, unit_values: bool) -> SolveResult:
     # per depth i, once a child there needs its bound: the later rows that
     # meet rows[i]
     meeting: list[list[list[int]] | None] = [None] * n
+    # per depth i, once the memo first keys a node there: its frontier rows
+    frontier: list[list[int] | None] = [None] * n
+    # subtree key -> the children it counted; None until the count first
+    # passes SOLVER_MEMO_THRESHOLD
+    memo: dict[tuple[int, ...], int] | None = None
+    limit = min(SOLVER_MEMO_THRESHOLD, explored_cap)
     residual = [k] * n
     at = residual.__getitem__
     assignment = [0] * n
@@ -137,19 +173,38 @@ def _branch_and_bound(g: Graph, k: int, unit_values: bool) -> SolveResult:
     explored = 0
 
     def dfs(i: int, total: int, slack: int, ahead: int | None) -> None:
-        nonlocal best_value, best, explored
+        nonlocal best_value, best, explored, memo, limit
         if i == n:
             if total > best_value:
                 best_value = total
                 best = tuple(assignment)
             return
+        key = None
+        if memo is not None and ahead is not None:
+            front = frontier[i]
+            if front is None:
+                both = reduce(or_, masks[:i], 0) & reduce(or_, masks[i:], 0)
+                front = frontier[i] = [v for v in range(n) if both >> v & 1]
+            key = (i, best_value - total, slack, ahead, *map(at, front))
+            counted = memo.get(key)
+            if counted is not None:
+                explored += counted
+                if explored > explored_cap:
+                    raise CapExceededError(over)
+                return
+            incumbent = best_value
+            start = explored
         row = rows[i]
         size = len(row)
         cap = min(top, *map(at, row))
         # the children t = cap..0, searched or pruned
         explored += cap + 1
-        if explored > explored_cap:
-            raise CapExceededError(f"solver explored more than {explored_cap} nodes")
+        if explored > limit:
+            if explored > explored_cap:
+                raise CapExceededError(over)
+            # past the threshold: key the nodes entered from now on
+            memo = {}
+            limit = explored_cap
         # at least every child's capped: caps only fall as t grows
         later = (n - i - 1) * top if ahead is None else ahead - cap
         # s_j of each meeting row that some t <= cap can lower, read when a
@@ -205,6 +260,8 @@ def _branch_and_bound(g: Graph, k: int, unit_values: bool) -> SolveResult:
             if t:
                 for v in row:
                     residual[v] += t
+        if key is not None and best_value == incumbent and len(memo) < SOLVER_MEMO_ENTRIES:
+            memo[key] = explored - start
 
     dfs(0, 0, n * k, n * top)
     # dfs holds itself through its closure; dropping the name frees the

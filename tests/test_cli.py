@@ -2,6 +2,8 @@ import argparse
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -445,13 +447,28 @@ class TestVerify:
             def map(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
 
-        monkeypatch.setattr("kpacking.cli.ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
         argv = ("verify", "recognizers", "--max-n", "4")
         serial = run(capsys, *argv, "--jobs", "1")
         wide = run(capsys, *argv, "--jobs", "100000")
         assert len(requested) == 1
         assert requested[0] <= (os.cpu_count() or 1)
         assert wide == serial
+
+    def test_import_leaves_the_pool_unloaded(self):
+        # only --jobs above 1 needs the process pool, so importing the CLI
+        # must not pay for it
+        probe = (
+            "import sys, kpacking.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} "
+            "& set(sys.modules)))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(kpacking.cli.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            timeout=60, check=True,
+        )
+        assert done.stdout == "[]\n"
 
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, "verify", "everything")

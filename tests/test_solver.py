@@ -1,10 +1,11 @@
 import dataclasses
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kpacking.solver
@@ -63,7 +64,32 @@ SEARCH_TREES = [
     # dense: most later rows meet it
     ("web(12,2)", web(12, 2), 3, (7, 392), (7, 44)),
     ("wheel(14)", wheel(14), 3, (3, 1027), (3, 737)),
+    # long sparse searches that revisit many equal subtrees, which the memo
+    # replays
+    ("cycle(16),k=5", cycle(16), 5, (26, 629811), (16, 32)),
+    ("cycle(14),k=5", cycle(14), 5, (23, 218717), (14, 28)),
+    ("cycle(16),k=4", cycle(16), 4, (21, 166464), (16, 32)),
 ]
+
+
+EXPLORED = [(solve_kpf, g, k, kpf[1]) for _, g, k, kpf, _ in SEARCH_TREES] + [
+    (solve_limited_packing, g, k, lim[1]) for _, g, k, _, lim in SEARCH_TREES
+]
+EXPLORED_IDS = [f"kpf-{case[0]}" for case in SEARCH_TREES] + [
+    f"limited-{case[0]}" for case in SEARCH_TREES
+]
+# a generous bound on the traced bytes of one memo entry, its key tuple and
+# stored count included; measured entries take about 150 B
+MEMO_ENTRY_BYTES = 200
+
+
+def assert_cap_is_exact(monkeypatch, solve, g, k, explored):
+    monkeypatch.setattr(kpacking.solver, "SOLVER_EXPLORED_CAP", explored)
+    assert solve(g, k).explored == explored
+    monkeypatch.setattr(kpacking.solver, "SOLVER_EXPLORED_CAP", explored - 1)
+    over = f"explored more than {explored - 1} "
+    with pytest.raises(CapExceededError, match=over):
+        solve(g, k)
 
 
 class TestSolveFixtures:
@@ -119,22 +145,34 @@ class TestSolveFixtures:
         with pytest.raises(CapExceededError, match="explored more than 1000"):
             solve_kpf(cycle(5), 20)  # explores 4176 children uncapped
 
-    @pytest.mark.parametrize(
-        "solve, g, k, explored",
-        [(solve_kpf, g, k, kpf[1]) for _, g, k, kpf, _ in SEARCH_TREES]
-        + [(solve_limited_packing, g, k, lim[1]) for _, g, k, _, lim in SEARCH_TREES],
-        ids=[f"kpf-{case[0]}" for case in SEARCH_TREES]
-        + [f"limited-{case[0]}" for case in SEARCH_TREES],
-    )
+    @pytest.mark.parametrize("solve, g, k, explored", EXPLORED, ids=EXPLORED_IDS)
     def test_explored_cap_is_exact(self, monkeypatch, solve, g, k, explored):
         # a node's children are counted when the search enters it; the cap
         # must still stop exactly the searches that count past it
-        monkeypatch.setattr(kpacking.solver, "SOLVER_EXPLORED_CAP", explored)
-        assert solve(g, k).explored == explored
-        monkeypatch.setattr(kpacking.solver, "SOLVER_EXPLORED_CAP", explored - 1)
-        over = f"explored more than {explored - 1} "
-        with pytest.raises(CapExceededError, match=over):
-            solve(g, k)
+        assert_cap_is_exact(monkeypatch, solve, g, k, explored)
+
+    @pytest.mark.parametrize("solve, g, k, explored", EXPLORED, ids=EXPLORED_IDS)
+    def test_explored_cap_is_exact_with_the_memo_on(
+        self, monkeypatch, solve, g, k, explored
+    ):
+        # a replay adds a whole subtree's count at once; the cap must still
+        # stop exactly the searches that count past it
+        monkeypatch.setattr(kpacking.solver, "SOLVER_MEMO_THRESHOLD", 0)
+        assert_cap_is_exact(monkeypatch, solve, g, k, explored)
+
+    def test_memo_memory_is_bounded(self, monkeypatch):
+        # this capped search keys far more distinct subtrees than the memo
+        # takes: without the entry limit it stored 26,082 of them, a traced
+        # peak of 4.2 MB, against 2.3 MB with it
+        monkeypatch.setattr(kpacking.solver, "SOLVER_EXPLORED_CAP", 400_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError):
+                solve_kpf(cycle(7), 40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < kpacking.solver.SOLVER_MEMO_ENTRIES * MEMO_ENTRY_BYTES
 
 
 @pytest.mark.parametrize(
@@ -169,6 +207,33 @@ def test_search_matches_the_reference_search(g, dense, k):
     if dense:
         g = complement(g)
     assert_same_search(g, k)
+
+
+@pytest.mark.parametrize(
+    "entries", [0, 1, kpacking.solver.SOLVER_MEMO_ENTRIES], ids=["none", "one", "default"]
+)
+@given(graphs(max_nodes=10), st.booleans(), st.integers(1, 4))
+# two subtrees with equal frontier residuals but unequal slack: a key without
+# the slack replays the wrong count here
+@example(
+    Graph.from_edges(7, [(1, 2), (1, 3), (1, 4), (2, 5), (5, 6), (5, 7), (6, 7)]), False, 2
+)
+@settings(max_examples=120, deadline=None)
+def test_memo_replays_the_reference_search(entries, g, dense, k):
+    # With the memo on from the first node, every subtree that found no
+    # better packing is stored and replayed; however few entries the memo
+    # may take, the optimum, the witness and the count must not change, and
+    # a cap one below the count must still raise when the search's last
+    # count is a replay.
+    if dense:
+        g = complement(g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kpacking.solver, "SOLVER_MEMO_THRESHOLD", 0)
+        mp.setattr(kpacking.solver, "SOLVER_MEMO_ENTRIES", entries)
+        assert_same_search(g, k)
+        counts = [(solve, solve(g, k).explored) for solve in (solve_kpf, solve_limited_packing)]
+        for solve, explored in counts:
+            assert_cap_is_exact(mp, solve, g, k, explored)
 
 
 def seeded_sparse_graph(seed: int) -> Graph:
