@@ -45,13 +45,7 @@ from .perfection import (
     perfection_report,
     polytope_vertices,
 )
-from .recognition import (
-    clique_graph,
-    find_undominated_obstruction,
-    is_extended_clique_node_by_cliques,
-    is_extended_clique_node_by_pattern,
-    recheck_certificate,
-)
+from .recognition import CERTIFICATE_KINDS, clique_graph, recheck_certificate
 from .solver import (
     lp_relaxation,
     scaling_reports,
@@ -176,31 +170,32 @@ def _cmd_solve(args) -> int:
 # recognize
 
 
+# report field -> the two kinds whose verdicts it compares, when both ran
+_AGREEMENTS = {
+    "exact_methods_agree": ("cliques", "pattern"),
+    "structural_agrees": ("structural", "cliques"),
+}
+
+
 def _cmd_recognize(args) -> int:
     g, m, descriptor = _load_instance(args)
-    if g is None and args.method == "structural":
-        raise ValueError("the structural method needs a graph input")
-    # in this order, so that the same cap fires first; a matrix has no screen
-    recognizers = (
-        ("cliques", is_extended_clique_node_by_cliques, m),
-        ("pattern", is_extended_clique_node_by_pattern, m),
-        ("structural", find_undominated_obstruction, g),
-    )
-    certs = {
-        name: recognize(instance)
-        for name, recognize, instance in recognizers
-        if args.method in (name, "all") and instance is not None
-    }
+    # in table order, so that the same cap fires first; a matrix input skips
+    # the kinds that read the graph under "all" and refuses them by name
+    certs = {}
+    for name, (reads_graph, recognize, _) in CERTIFICATE_KINDS.items():
+        instance = g if reads_graph else m
+        if args.method == name and instance is None:
+            raise ValueError(f"the {name} method needs a graph input")
+        if args.method in (name, "all") and instance is not None:
+            certs[name] = recognize(instance)
     body: dict = {"methods": {}}
     for name, cert in certs.items():
         entry = body["methods"][name] = {"verdict": cert.verdict}
         if args.certificate:
             entry["certificate"] = cert.to_payload()
-    cliques = certs.get("cliques")
-    if cliques is not None and "pattern" in certs:
-        body["exact_methods_agree"] = cliques.verdict == certs["pattern"].verdict
-    if cliques is not None and "structural" in certs:
-        body["structural_agrees"] = certs["structural"].verdict == cliques.verdict
+    for field, (a, b) in _AGREEMENTS.items():
+        if a in certs and b in certs:
+            body[field] = certs[a].verdict == certs[b].verdict
     _emit(args, "recognize", descriptor, body)
     if body.get("exact_methods_agree") is False:
         raise ConsistencyError("the exact recognizers disagree")
@@ -309,12 +304,13 @@ def _counterexample(g: Graph, detail) -> str:
 
 def _recognizer_failure(g: Graph, ks: tuple[int, ...]) -> str | None:
     m = closed_neighbourhood_matrix(g)
-    a = is_extended_clique_node_by_cliques(m).verdict
-    b = is_extended_clique_node_by_pattern(m).verdict
-    c = find_undominated_obstruction(g).verdict
-    if a == b == c:
+    verdicts = {
+        name: recognize(g if reads_graph else m).verdict
+        for name, (reads_graph, recognize, _) in CERTIFICATE_KINDS.items()
+    }
+    if len(set(verdicts.values())) == 1:
         return None
-    return _counterexample(g, f"cliques={a} pattern={b} structural={c}")
+    return _counterexample(g, " ".join(f"{name}={v}" for name, v in verdicts.items()))
 
 
 def _inconsistency(g: Graph, run) -> str | None:
@@ -348,20 +344,24 @@ def _map_tasks(worker, tasks, jobs: int):
         return list(pool.map(worker, tasks, chunksize=8))
 
 
-def _run_census_suite(check, args, out) -> bool:
-    """Run ``check(g, ks)`` on every census graph up to ``--max-n``; each
-    non-None result is a failure line.  The summary lists ``--k`` when the
-    suite takes one."""
-    graphs = [g for n in range(1, args.max_n + 1) for g in enumerate_connected_graphs(n)]
-    worker = functools.partial(check, ks=tuple(args.k))
-    failures = [f for f in _map_tasks(worker, graphs, args.jobs) if f]
-    for line in failures:
-        out(line)
-    summary = f"checked: {len(graphs)} connected graphs with at most {args.max_n} nodes"
-    if args.k:
-        summary += f", k in {{{','.join(map(str, args.k))}}}"
-    out(summary)
-    return not failures
+def _census_suite(check):
+    """The runner of a suite that calls ``check(g, ks)`` on every census
+    graph up to ``--max-n``; each non-None result is a failure line.  The
+    summary lists ``--k`` when the suite takes one."""
+
+    def run(args, out) -> bool:
+        graphs = [g for n in range(args.max_n) for g in enumerate_connected_graphs(n + 1)]
+        worker = functools.partial(check, ks=tuple(args.k))
+        failures = [f for f in _map_tasks(worker, graphs, args.jobs) if f]
+        for line in failures:
+            out(line)
+        summary = f"checked: {len(graphs)} connected graphs with at most {args.max_n} nodes"
+        if args.k:
+            summary += f", k in {{{','.join(map(str, args.k))}}}"
+        out(summary)
+        return not failures
+
+    return run
 
 
 def _suite_webs(args, out) -> bool:
@@ -379,14 +379,12 @@ def _suite_webs(args, out) -> bool:
                     f"counterexample: web({n},{k}) membership={member} "
                     f"expected={expected}"
                 )
-    gq5 = clique_graph(closed_neighbourhood_matrix(cycle(5)))
-    if not is_isomorphic(gq5, web(5, 2)):
-        ok = False
-        out("counterexample: column graph of the 5-cycle matrix is not complete")
-    gq6 = clique_graph(closed_neighbourhood_matrix(cycle(6)))
-    if not is_isomorphic(gq6, web(6, 2)):
-        ok = False
-        out("counterexample: column graph of the 6-cycle matrix is not web(6,2)")
+    # web(5, 2) is K5, which the message calls complete
+    for n, expected in ((5, "complete"), (6, "web(6,2)")):
+        gq = clique_graph(closed_neighbourhood_matrix(cycle(n)))
+        if not is_isomorphic(gq, web(n, 2)):
+            ok = False
+            out(f"counterexample: column graph of the {n}-cycle matrix is not {expected}")
     out(f"checked: {checked} webs plus 2 column graph identities")
     return ok
 
@@ -407,29 +405,27 @@ def _suite_census(args, out) -> bool:
     return ok
 
 
+# suite -> (runner, default --max-n, default --k or None when it takes none,
+# least --max-n, check of --max-n against the suite's cap).  Webs start at
+# web(2, k) and web(n, k) has n nodes; the other suites walk the census.
 _SUITES = {
-    "recognizers": (functools.partial(_run_census_suite, _recognizer_failure), 7, None),
-    "polytope": (functools.partial(_run_census_suite, _polytope_failure), 6, None),
-    "scaling": (functools.partial(_run_census_suite, _scaling_failure), 6, [2, 3, 4]),
-    "webs": (_suite_webs, 12, [1, 2, 3, 4]),
-    "census": (_suite_census, 7, None),
+    "recognizers": (_census_suite(_recognizer_failure), 7, None, 1, _check_census_size),
+    "polytope": (_census_suite(_polytope_failure), 6, None, 1, _check_census_size),
+    "scaling": (_census_suite(_scaling_failure), 6, [2, 3, 4], 1, _check_census_size),
+    "webs": (_suite_webs, 12, [1, 2, 3, 4], 2, _check_odd_hole_cap),
+    "census": (_suite_census, 7, None, 1, _check_census_size),
 }
 
 
 def _cmd_verify(args) -> int:
-    runner, default_n, default_k = _SUITES[args.suite]
+    runner, default_n, default_k, least_n, check_cap = _SUITES[args.suite]
     if args.max_n is None:
         args.max_n = default_n
-    # webs start at web(2, k); a suite with an empty range would pass unchecked
-    least_n = 2 if args.suite == "webs" else 1
+    # a suite with an empty range would pass unchecked
     if args.max_n < least_n:
         raise ValueError(f"the {args.suite} suite needs --max-n of at least {least_n}")
-    # refuse a range beyond the suite's cap before building any graph of it:
-    # web(n, k) has n nodes, and the other suites walk the census
-    if args.suite == "webs":
-        _check_odd_hole_cap(args.max_n)
-    else:
-        _check_census_size(args.max_n)
+    # refuse a range beyond the suite's cap before building any graph of it
+    check_cap(args.max_n)
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
     if default_k is None and args.k is not None:
@@ -454,11 +450,8 @@ def _cmd_verify_certificate(args) -> int:
         payload = json.loads(_read(args.certificate))
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad certificate JSON: {exc}") from None
-    graph = matrix = None
-    if args.graph is not None:
-        graph = _load(args.graph, parse_graph)[0]
-    if args.matrix is not None:
-        matrix = _load(args.matrix, parse_matrix)[0]
+    graph = None if args.graph is None else _load(args.graph, parse_graph)[0]
+    matrix = None if args.matrix is None else _load(args.matrix, parse_matrix)[0]
     valid = recheck_certificate(payload, graph=graph, matrix=matrix)
     sys.stdout.write(_dump({"schema": SCHEMA, "command": "verify-certificate", "valid": valid}))
     return 0 if valid else 1
@@ -499,8 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--graph")
     grp.add_argument("--matrix")
-    p.add_argument("--method", choices=["cliques", "pattern", "structural", "all"],
-                   default="all")
+    p.add_argument("--method", choices=[*CERTIFICATE_KINDS, "all"], default="all")
     p.add_argument("--certificate", action="store_true",
                    help="include re-checkable witnesses in the report")
     p.add_argument("--output")

@@ -36,6 +36,12 @@ from .recognition import (
 
 ODD_HOLE_NODE_CAP = 16
 VERTEX_ENUMERATION_COLUMN_CAP = 10
+# bases one support pass may try, charged per class set before the memo is
+# read, so an input meets the cap whatever the memo holds.  No connected graph
+# up to 8 nodes needs more than 467, nor any of 1,200 random 10-node graphs
+# more than 4,282; the 120 three-column rows of 10 columns exit 3 after 1.4-1.6
+# s (2-vCPU x86-64 VM, Python 3.11)
+SUPPORT_PASS_BASIS_CAP = 10**5
 # distinct restricted systems whose solutions the support pass keeps per process
 SOLVED_SYSTEM_MEMO_SIZE = 1024
 
@@ -144,7 +150,9 @@ def _fractional_supports(m: BinaryMatrix):
     call in the process, bounded by ``SOLVED_SYSTEM_MEMO_SIZE`` systems.
 
     Raises ``CapExceededError`` above ``VERTEX_ENUMERATION_COLUMN_CAP``
-    columns, since the table can have an entry for each of the 2**n supports.
+    columns, since the table can have an entry for each of the 2**n supports,
+    and once the bases of the systems met so far, C(|maximal|, |S|) for each,
+    add up to more than ``SUPPORT_PASS_BASIS_CAP``.
     """
     cap = VERTEX_ENUMERATION_COLUMN_CAP
     if m.cols > cap:
@@ -177,8 +185,12 @@ def _fractional_supports(m: BinaryMatrix):
     # (S's classes, their solutions as (numerators, denominator), free) per
     # fractional class set
     fractional: list[tuple[tuple[int, ...], frozenset, int]] = []
+    bases = 0
     for smask, maximal in _class_set_systems(rows, len(members)):
         size = smask.bit_count()
+        bases += math.comb(len(maximal), size)
+        if bases > SUPPORT_PASS_BASIS_CAP:
+            raise CapExceededError(f"support pass capped at {SUPPORT_PASS_BASIS_CAP} bases")
         classes = tuple(c - 1 for c in _bits(smask))
         # each maximal row as a mask over S's positions
         system = []

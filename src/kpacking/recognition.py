@@ -16,12 +16,13 @@ Three verdict paths are provided:
                   separately because it can disagree (see README).
 
 Each path returns a :class:`RecognitionCertificate` whose witness can be
-re-checked independently via :func:`recheck_certificate`.
+re-checked independently via :func:`recheck_certificate`.  ``CERTIFICATE_KINDS``
+maps each path's name to its recognizer and its recheck.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import CapExceededError, ConsistencyError, ParseError, ZeroColumnError
 from .graphs import (
@@ -68,25 +69,23 @@ class RecognitionCertificate:
     dominated: tuple[tuple[str, tuple[int, ...], int], ...] | None = None
 
     def to_payload(self) -> dict:
-        out = {"method": self.method, "verdict": self.verdict}
-        if self.cover is not None:
-            out["cover"] = [
-                {"clique": list(cl), "row": row} for cl, row in self.cover
-            ]
-        if self.uncovered_clique is not None:
-            out["uncovered_clique"] = list(self.uncovered_clique)
-        if self.pattern_columns is not None:
-            out["pattern_columns"] = list(self.pattern_columns)
-            out["pattern_rows"] = list(self.pattern_rows)
-            out["pattern_zeros"] = list(self.pattern_zeros)
-        if self.obstruction_nodes is not None:
-            out["obstruction_kind"] = self.obstruction_kind
-            out["obstruction_nodes"] = list(self.obstruction_nodes)
-        if self.dominated is not None:
-            out["dominated"] = [
-                {"kind": kind, "nodes": list(nodes), "dominator": dom}
-                for kind, nodes, dom in self.dominated
-            ]
+        """The populated fields in field order, tuples as lists and each
+        cover or dominated item as an object."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None:
+                continue
+            if f.name == "cover":
+                value = [{"clique": list(cl), "row": row} for cl, row in value]
+            elif f.name == "dominated":
+                value = [
+                    {"kind": kind, "nodes": list(nodes), "dominator": dom}
+                    for kind, nodes, dom in value
+                ]
+            elif isinstance(value, tuple):
+                value = list(value)
+            out[f.name] = value
         return out
 
 
@@ -357,8 +356,9 @@ def recheck_certificate(
 ) -> bool:
     """Independently validate an emitted certificate against its instance.
 
-    ``structural`` certificates need the graph; the other methods need the
-    matrix (pass the closed neighbourhood matrix when the instance is a graph).
+    The certificate's method picks its row of ``CERTIFICATE_KINDS``.  A kind
+    whose recognizer reads the graph needs the graph; the others need the
+    matrix, which defaults to the graph's closed neighbourhood matrix.
     Positive certificates are rechecked by rerunning the recognizer, and a
     positive structural one also has each dominated entry checked on its own;
     negative ones by validating the stored witness directly.  A payload of the
@@ -366,20 +366,20 @@ def recheck_certificate(
     """
     _check_payload_shape(payload)
     method = payload.get("method")
-    verdict = payload["verdict"]
-    if method in ("cliques", "pattern"):
-        if matrix is None:
-            if graph is None:
-                raise ValueError("certificate recheck needs a matrix or graph")
-            matrix = closed_neighbourhood_matrix(graph)
-        if method == "cliques":
-            return _recheck_cliques(payload, matrix, verdict)
-        return _recheck_pattern(payload, matrix, verdict)
-    if method == "structural":
+    # a method of another JSON type is unknown too: a list or object would
+    # not hash as a key
+    if not isinstance(method, str) or method not in CERTIFICATE_KINDS:
+        raise ValueError(f"unknown certificate method {method!r}")
+    reads_graph, _, recheck = CERTIFICATE_KINDS[method]
+    if reads_graph:
         if graph is None:
-            raise ValueError("structural certificates need the graph")
-        return _recheck_structural(payload, graph, verdict)
-    raise ValueError(f"unknown certificate method {method!r}")
+            raise ValueError(f"{method} certificates need the graph")
+        return recheck(payload, graph, payload["verdict"])
+    if matrix is None:
+        if graph is None:
+            raise ValueError("certificate recheck needs a matrix or graph")
+        matrix = closed_neighbourhood_matrix(graph)
+    return recheck(payload, matrix, payload["verdict"])
 
 
 def _is_int_list(value) -> bool:
@@ -416,15 +416,11 @@ def _check_payload_shape(payload) -> None:
 
 
 def _recheck_cliques(payload: dict, m: BinaryMatrix, verdict: bool) -> bool:
-    gq = clique_graph(m)
-    cliques = set(maximal_cliques(gq))
-    supports = {m.row_masks[i] for i in range(m.rows)}
+    cliques = set(maximal_cliques(clique_graph(m)))
     if verdict:
-        cover = payload.get("cover", [])
         covered = set()
-        for item in cover:
-            cl = tuple(item["clique"])
-            row = item["row"]
+        for item in payload.get("cover", []):
+            cl, row = tuple(item["clique"]), item["row"]
             if cl not in cliques:
                 return False
             if not 1 <= row <= m.rows or m.row_masks[row - 1] != _mask_of(cl):
@@ -432,7 +428,7 @@ def _recheck_cliques(payload: dict, m: BinaryMatrix, verdict: bool) -> bool:
             covered.add(cl)
         return covered == cliques
     cl = tuple(payload.get("uncovered_clique", ()))
-    return cl in cliques and _mask_of(cl) not in supports
+    return cl in cliques and _mask_of(cl) not in m.row_masks
 
 
 def _recheck_pattern(payload: dict, m: BinaryMatrix, verdict: bool) -> bool:
@@ -492,3 +488,13 @@ def _recheck_structural(payload: dict, g: Graph, verdict: bool) -> bool:
     )
     rerun = find_undominated_obstruction(g)
     return rerun.verdict and rerun.dominated == claimed
+
+
+# kind -> (whether its recognizer reads the graph rather than the matrix, the
+# recognizer, the recheck of its certificates).  The CLI lists, runs and
+# rechecks the kinds in this order, so a new kind is one row here.
+CERTIFICATE_KINDS = {
+    "cliques": (False, is_extended_clique_node_by_cliques, _recheck_cliques),
+    "pattern": (False, is_extended_clique_node_by_pattern, _recheck_pattern),
+    "structural": (True, find_undominated_obstruction, _recheck_structural),
+}

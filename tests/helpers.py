@@ -56,6 +56,14 @@ def row_support(m: BinaryMatrix, i: int) -> tuple[int, ...]:
     return tuple(_bits(m.row_masks[i - 1]))
 
 
+def every_row_of_size(cols: int, size: int) -> BinaryMatrix:
+    """The matrix whose rows are the ``size``-column sets of ``cols`` columns,
+    each once, in lexicographic order."""
+    combos = itertools.combinations(range(1, cols + 1), size)
+    masks = tuple(sum(_bit(j) for j in c) for c in combos)
+    return BinaryMatrix(len(masks), cols, masks)
+
+
 def induced_subgraph(g: Graph, nodes) -> Graph:
     """Subgraph induced by ``nodes``, relabelled 1..|nodes| in sorted label order."""
     sel = sorted(set(nodes))

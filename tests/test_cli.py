@@ -29,6 +29,8 @@ from kpacking import (
 )
 from kpacking.cli import main
 
+from helpers import every_row_of_size
+
 SOLVE_KPF = kpacking.solver.solve_kpf
 # "kpacking [command] --help" -> its text at COLUMNS=80 under Python 3.11's
 # argparse; a changed flag, default or help string shows up here
@@ -309,6 +311,18 @@ class TestPerfection:
         monkeypatch.setattr(kpacking.perfection, "VERTEX_ENUMERATION_COLUMN_CAP", 11)
         code, _, _ = run(capsys, "perfection", "--matrix", str(path))
         assert code == 0
+
+
+    def test_support_pass_budget(self, capsys, tmp_path):
+        # a full pass over all 120 three-column rows of 10 columns would try
+        # about 1.2e14 bases
+        path = tmp_path / "m.matrix"
+        path.write_text(format_matrix(every_row_of_size(10, 3)))
+        code, out, err = run(capsys, "perfection", "--matrix", str(path))
+        assert code == 3
+        assert out == ""
+        cap = kpacking.perfection.SUPPORT_PASS_BASIS_CAP
+        assert err == f"error: support pass capped at {cap} bases\n"
 
 
 class TestAnalyze:
@@ -646,6 +660,32 @@ class TestVerifyCertificate:
         assert code == 2
         assert out == ""
         assert err == "error: certificate field 'verdict' must be a JSON boolean\n"
+
+
+    @pytest.mark.parametrize("method", [[], {}, None, 1, "CLIQUES"], ids=repr)
+    def test_a_method_of_any_json_type_is_bad_input(self, capsys, tmp_path, square, method):
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps({"method": method, "verdict": True}))
+        code, out, err = run(capsys, "verify-certificate", str(cert_path), "--graph", square)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: unknown certificate method {method!r}\n"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"method": "pattern", "verdict": False, "cover": "x"},
+            {"method": "cliques", "verdict": True, "dominated": 3},
+        ],
+        ids=["pattern-with-cover", "cliques-with-dominated"],
+    )
+    def test_witness_fields_of_other_kinds_are_bad_input(self, capsys, tmp_path, square, payload):
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "verify-certificate", str(cert_path), "--graph", square)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: certificate ")
 
 
 class TestErrorPaths:

@@ -9,6 +9,7 @@ from kpacking import (
     BinaryMatrix,
     CapExceededError,
     ZeroColumnError,
+    antiweb,
     closed_neighbourhood_matrix,
     complement,
     complete,
@@ -26,6 +27,7 @@ from kpacking import (
 )
 
 from helpers import (
+    every_row_of_size,
     reference_class_set_systems,
     reference_fractional_supports,
     reference_polytope_facts,
@@ -340,6 +342,32 @@ class TestSolvedSystemMemo:
             for g in enumerate_connected_graphs(n):
                 kpacking.perfection._fractional_supports(closed_neighbourhood_matrix(g))
                 assert solve.cache_info().currsize <= bound
+
+
+class TestSupportPassBudget:
+    """The bases the support pass may try: C(|maximal|, |S|) per class set,
+    charged before the memo is read."""
+
+    # the charge of N[antiweb(10, 3)]: no connected graph up to 8 nodes
+    # charges more than 467
+    ANTIWEB_BASES = 2393
+
+    def test_exact_charge_whatever_the_memo_holds(self, monkeypatch):
+        m = closed_neighbourhood_matrix(antiweb(10, 3))
+        kpacking.perfection._solve_system.cache_clear()
+        for cap, refused in ((self.ANTIWEB_BASES - 1, True), (self.ANTIWEB_BASES, False),
+                             (self.ANTIWEB_BASES - 1, True)):
+            monkeypatch.setattr(kpacking.perfection, "SUPPORT_PASS_BASIS_CAP", cap)
+            if refused:
+                with pytest.raises(CapExceededError, match=f"capped at {cap} bases"):
+                    kpacking.perfection._fractional_supports(m)
+            else:
+                kpacking.perfection._fractional_supports(m)
+
+    def test_every_five_column_row_is_refused(self):
+        # 252 rows; the 10 classes alone would need C(252, 10) bases
+        with pytest.raises(CapExceededError, match="support pass capped"):
+            is_perfect_matrix(every_row_of_size(10, 5))
 
 
 class TestOddHoles:

@@ -516,6 +516,36 @@ class TestCertificateRecheck:
         with pytest.raises(ParseError, match="verdict"):
             recheck_certificate(payload, graph=g, matrix=m)
 
+    @pytest.mark.parametrize("method", [[], {}, None, 1, "CLIQUES"], ids=repr)
+    def test_a_method_of_any_json_type_is_unknown(self, method):
+        payload = {"method": method, "verdict": True}
+        with pytest.raises(ValueError) as exc:
+            recheck_certificate(payload, graph=wheel(6))
+        assert str(exc.value) == f"unknown certificate method {method!r}"
+
+    def test_a_missing_instance_is_named(self):
+        g = three_sun()
+        payload = find_undominated_obstruction(g).to_payload()
+        with pytest.raises(ValueError) as exc:
+            recheck_certificate(payload, matrix=closed_neighbourhood_matrix(g))
+        assert str(exc.value) == "structural certificates need the graph"
+        payload = is_extended_clique_node_by_cliques(closed_neighbourhood_matrix(g)).to_payload()
+        with pytest.raises(ValueError) as exc:
+            recheck_certificate(payload)
+        assert str(exc.value) == "certificate recheck needs a matrix or graph"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"method": "pattern", "verdict": False, "cover": "x"},
+            {"method": "cliques", "verdict": True, "dominated": 3},
+        ],
+        ids=["pattern-with-cover", "cliques-with-dominated"],
+    )
+    def test_witness_fields_of_other_kinds_are_shape_checked(self, payload):
+        with pytest.raises(ParseError):
+            recheck_certificate(payload, graph=wheel(6))
+
     def test_wrong_input_rejected(self):
         m = closed_neighbourhood_matrix(web(6, 2))
         payload = is_extended_clique_node_by_cliques(m).to_payload()
