@@ -45,7 +45,7 @@ from .perfection import (
     perfection_report,
     polytope_vertices,
 )
-from .recognition import CERTIFICATE_KINDS, clique_graph, recheck_certificate
+from .recognition import CERTIFICATE_KINDS, clique_graph, kind_inputs, recheck_certificate
 from .solver import (
     lp_relaxation,
     scaling_reports,
@@ -90,19 +90,23 @@ def _load(path: str, parse) -> tuple:
 
 
 def _load_instance(args) -> tuple:
-    """(graph or None, matrix, descriptor) from ``--graph`` or ``--matrix``;
-    a graph's matrix is its closed neighbourhood matrix."""
+    """(graph or matrix, descriptor) from ``--graph`` or ``--matrix``."""
     if args.graph is not None:
-        g, descriptor = _load(args.graph, parse_graph)
-        return g, closed_neighbourhood_matrix(g), descriptor
-    m, descriptor = _load(args.matrix, parse_matrix)
-    return None, m, descriptor
+        return _load(args.graph, parse_graph)
+    return _load(args.matrix, parse_matrix)
 
 
 def _emit(args, command: str, descriptor: dict, body: dict) -> None:
     """Write one report: the schema envelope around ``body``."""
     report = {"schema": SCHEMA, "command": command, "input": descriptor, **body}
     _write(_dump(report), args.output)
+
+
+def _add_instance_options(p: argparse.ArgumentParser) -> None:
+    """The required choice of one input file, ``--graph`` or ``--matrix``."""
+    grp = p.add_mutually_exclusive_group(required=True)
+    grp.add_argument("--graph")
+    grp.add_argument("--matrix")
 
 
 def _parse_k_list(raw: str) -> list[int]:
@@ -178,16 +182,16 @@ _AGREEMENTS = {
 
 
 def _cmd_recognize(args) -> int:
-    g, m, descriptor = _load_instance(args)
+    instance, descriptor = _load_instance(args)
+    inputs = kind_inputs(instance)
     # in table order, so that the same cap fires first; a matrix input skips
     # the kinds that read the graph under "all" and refuses them by name
     certs = {}
-    for name, (reads_graph, recognize, _) in CERTIFICATE_KINDS.items():
-        instance = g if reads_graph else m
-        if args.method == name and instance is None:
+    for name, (_, recognize, _) in CERTIFICATE_KINDS.items():
+        if args.method == name and inputs[name] is None:
             raise ValueError(f"the {name} method needs a graph input")
-        if args.method in (name, "all") and instance is not None:
-            certs[name] = recognize(instance)
+        if args.method in (name, "all") and inputs[name] is not None:
+            certs[name] = recognize(inputs[name])
     body: dict = {"methods": {}}
     for name, cert in certs.items():
         entry = body["methods"][name] = {"verdict": cert.verdict}
@@ -228,10 +232,12 @@ def _verdict_sections(rep: PerfectionReport) -> dict:
 
 
 def _cmd_perfection(args) -> int:
-    g, m, descriptor = _load_instance(args)
-    if g is not None:
-        body = _verdict_sections(perfection_report(g))
+    instance, descriptor = _load_instance(args)
+    if isinstance(instance, Graph):
+        body = _verdict_sections(perfection_report(instance))
+        m = closed_neighbourhood_matrix(instance)
     else:
+        m = instance
         verdict, fractional = is_perfect_matrix(m)
         body = {"matrix_perfect": verdict, "fractional_vertex": _point(fractional)}
     if args.emit_vertices:
@@ -248,15 +254,12 @@ def _cmd_analyze(args) -> int:
     started = time.monotonic()
     if args.family is not None:
         spec = FamilySpec(args.family[0], tuple(int(x) for x in args.family[1:]))
-        obj = spec.build()
-        if isinstance(obj, BinaryMatrix):
+        g = spec.build()
+        if isinstance(g, BinaryMatrix):
             raise ValueError("analyze expects a graph family, not a matrix family")
-        g = obj
         descriptor = {"family": spec.family, "parameters": list(spec.parameters)}
-    elif args.input is not None:
-        g, descriptor = _load(args.input, parse_graph)
     else:
-        raise ValueError("analyze needs an input file or --family")
+        g, descriptor = _load(args.input, parse_graph)
 
     rep = perfection_report(g)
     scaling = scaling_reports(g, args.k, rep)
@@ -303,10 +306,10 @@ def _counterexample(g: Graph, detail) -> str:
 
 
 def _recognizer_failure(g: Graph, ks: tuple[int, ...]) -> str | None:
-    m = closed_neighbourhood_matrix(g)
+    inputs = kind_inputs(g)
     verdicts = {
-        name: recognize(g if reads_graph else m).verdict
-        for name, (reads_graph, recognize, _) in CERTIFICATE_KINDS.items()
+        name: recognize(inputs[name]).verdict
+        for name, (_, recognize, _) in CERTIFICATE_KINDS.items()
     }
     if len(set(verdicts.values())) == 1:
         return None
@@ -450,9 +453,7 @@ def _cmd_verify_certificate(args) -> int:
         payload = json.loads(_read(args.certificate))
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad certificate JSON: {exc}") from None
-    graph = None if args.graph is None else _load(args.graph, parse_graph)[0]
-    matrix = None if args.matrix is None else _load(args.matrix, parse_matrix)[0]
-    valid = recheck_certificate(payload, graph=graph, matrix=matrix)
+    valid = recheck_certificate(payload, _load_instance(args)[0])
     sys.stdout.write(_dump({"schema": SCHEMA, "command": "verify-certificate", "valid": valid}))
     return 0 if valid else 1
 
@@ -489,9 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("recognize", help="run extended clique-node recognizers")
-    grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--graph")
-    grp.add_argument("--matrix")
+    _add_instance_options(p)
     p.add_argument("--method", choices=[*CERTIFICATE_KINDS, "all"], default="all")
     p.add_argument("--certificate", action="store_true",
                    help="include re-checkable witnesses in the report")
@@ -499,17 +498,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_recognize)
 
     p = sub.add_parser("perfection", help="perfection verdicts for a graph or matrix")
-    grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--graph")
-    grp.add_argument("--matrix")
+    _add_instance_options(p)
     p.add_argument("--emit-vertices", action="store_true")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_perfection)
 
     p = sub.add_parser("analyze", help="full report: recognizers, perfection, packing")
-    p.add_argument("input", nargs="?")
-    p.add_argument("--family", nargs="+", metavar=("NAME", "PARAM"),
-                   help="analyze a generated family member instead of a file")
+    grp = p.add_mutually_exclusive_group(required=True)
+    grp.add_argument("input", nargs="?")
+    grp.add_argument("--family", nargs="+", metavar=("NAME", "PARAM"),
+                     help="analyze a generated family member instead of a file")
     p.add_argument("--k", type=_parse_k_list, default=[2, 3])
     p.add_argument("--certificates", action="store_true")
     p.add_argument("--output")
@@ -524,8 +522,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-certificate", help="recheck an emitted certificate")
     p.add_argument("certificate", help="certificate JSON file")
-    p.add_argument("--graph")
-    p.add_argument("--matrix")
+    _add_instance_options(p)
     p.set_defaults(func=_cmd_verify_certificate)
 
     return parser

@@ -351,18 +351,15 @@ def find_undominated_obstruction(g: Graph) -> RecognitionCertificate:
 # certificate re-verification
 
 
-def recheck_certificate(
-    payload: dict, *, graph: Graph | None = None, matrix: BinaryMatrix | None = None
-) -> bool:
+def recheck_certificate(payload: dict, instance: Graph | BinaryMatrix) -> bool:
     """Independently validate an emitted certificate against its instance.
 
-    The certificate's method picks its row of ``CERTIFICATE_KINDS``.  A kind
-    whose recognizer reads the graph needs the graph; the others need the
-    matrix, which defaults to the graph's closed neighbourhood matrix.
-    Positive certificates are rechecked by rerunning the recognizer, and a
-    positive structural one also has each dominated entry checked on its own;
-    negative ones by validating the stored witness directly.  A payload of the
-    wrong JSON shape raises ParseError.
+    The certificate's method picks its row of ``CERTIFICATE_KINDS``, and
+    ``kind_inputs`` what it reads of ``instance``.  Positive certificates are
+    rechecked by rerunning the recognizer, and a positive structural one also
+    has each dominated entry checked on its own; negative ones by validating
+    the stored witness directly.  A payload of the wrong JSON shape raises
+    ParseError.
     """
     _check_payload_shape(payload)
     method = payload.get("method")
@@ -370,16 +367,10 @@ def recheck_certificate(
     # not hash as a key
     if not isinstance(method, str) or method not in CERTIFICATE_KINDS:
         raise ValueError(f"unknown certificate method {method!r}")
-    reads_graph, _, recheck = CERTIFICATE_KINDS[method]
-    if reads_graph:
-        if graph is None:
-            raise ValueError(f"{method} certificates need the graph")
-        return recheck(payload, graph, payload["verdict"])
-    if matrix is None:
-        if graph is None:
-            raise ValueError("certificate recheck needs a matrix or graph")
-        matrix = closed_neighbourhood_matrix(graph)
-    return recheck(payload, matrix, payload["verdict"])
+    read = kind_inputs(instance)[method]
+    if read is None:
+        raise ValueError(f"{method} certificates need the graph")
+    return CERTIFICATE_KINDS[method][2](payload, read, payload["verdict"])
 
 
 def _is_int_list(value) -> bool:
@@ -498,3 +489,12 @@ CERTIFICATE_KINDS = {
     "pattern": (False, is_extended_clique_node_by_pattern, _recheck_pattern),
     "structural": (True, find_undominated_obstruction, _recheck_structural),
 }
+
+
+def kind_inputs(instance: Graph | BinaryMatrix) -> dict:
+    """Kind -> what its recognizer and recheck read of ``instance``, in table
+    order: a graph, or else its closed neighbourhood matrix; a matrix as
+    given, and None for the kinds that read the graph."""
+    g = instance if isinstance(instance, Graph) else None
+    m = instance if g is None else closed_neighbourhood_matrix(g)
+    return {name: g if reads_graph else m for name, (reads_graph, *_) in CERTIFICATE_KINDS.items()}

@@ -73,6 +73,11 @@ class SolveResult:
     explored: int
 
 
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError("the packing bound k must be a positive integer")
+
+
 def _branch_and_bound(g: Graph, k: int, unit_values: bool) -> SolveResult:
     """Depth-first search over the nodes by decreasing degree, each node
     trying its values from the largest feasible one down to 0.
@@ -137,8 +142,7 @@ def _branch_and_bound(g: Graph, k: int, unit_values: bool) -> SolveResult:
     a replay adds a subtree's whole count before the check, so it raises
     exactly when the whole search would count more.
     """
-    if k < 1:
-        raise ValueError("the packing bound k must be a positive integer")
+    _check_k(k)
     if g.n > SOLVER_NODE_CAP:
         raise CapExceededError(f"solver capped at {SOLVER_NODE_CAP} nodes")
     explored_cap = SOLVER_EXPLORED_CAP
@@ -296,8 +300,7 @@ def solve_limited_packing(g: Graph, k: int) -> SolveResult:
 
 
 def _exhaustive(g: Graph, k: int, top: int) -> SolveResult:
-    if k < 1:
-        raise ValueError("the packing bound k must be a positive integer")
+    _check_k(k)
     states = (top + 1) ** g.n
     if states > BRUTEFORCE_STATE_CAP:
         raise CapExceededError(
@@ -350,8 +353,7 @@ def lp_relaxation(g: Graph, k: int):
     the vertex being the first with the best sum in sorted vertex order.
     Both come from ``_polytope_facts``; no vertex is listed.
     """
-    if k < 1:
-        raise ValueError("the packing bound k must be a positive integer")
+    _check_k(k)
     _, unit, point = _polytope_facts(closed_neighbourhood_matrix(g))
     return k * unit, point
 

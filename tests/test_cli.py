@@ -355,6 +355,24 @@ class TestAnalyze:
         second, _ = run_json(capsys, "analyze", octahedron, "--k", "2")
         assert first == second
 
+    def test_file_and_family_are_exclusive(self, capsys, square):
+        code, out, err = run(capsys, "analyze", square, "--family", "three_sun")
+        assert code == 2
+        assert out == ""
+        assert "argument --family: not allowed with argument input" in err
+
+    def test_file_or_family_is_required(self, capsys):
+        code, out, err = run(capsys, "analyze", "--k", "2")
+        assert code == 2
+        assert out == ""
+        assert "one of the arguments input --family is required" in err
+
+    def test_matrix_family_is_refused(self, capsys):
+        code, out, err = run(capsys, "analyze", "--family", "circulant", "7", "3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: analyze expects a graph family, not a matrix family\n"
+
     def test_scaling_violation_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(kpacking.solver, "solve_kpf", short_solve_kpf)
         code, out, err = run(capsys, "analyze", "--family", "wheel", "6", "--k", "2,3")
@@ -557,6 +575,50 @@ class TestVerifyCertificate:
         code, out, _ = run(capsys, "verify-certificate", str(cert_path), "--graph", octahedron)
         assert code == 1
         assert json.loads(out)["valid"] is False
+
+    def test_certificate_that_is_not_json(self, capsys, tmp_path, square):
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text("{not json")
+        code, out, err = run(capsys, "verify-certificate", str(cert_path), "--graph", square)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad certificate JSON: ")
+
+    def test_one_instance_per_recheck(self, capsys, tmp_path):
+        # both column graphs are K6, but only the wheel has a row holding
+        # all six columns, the hub's row that the certificate names
+        paths = {}
+        for name, argv in {"wheel.graph": ("wheel", "6"), "sun.graph": ("three_sun",),
+                           "wheel.matrix": ("wheel", "6", "--matrix")}.items():
+            paths[name] = str(tmp_path / name)
+            assert run(capsys, "gen", *argv, "--output", paths[name])[0] == 0
+        _, out, _ = run(
+            capsys, "recognize", "--graph", paths["wheel.graph"], "--method", "cliques",
+            "--certificate",
+        )
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(json.loads(out)["methods"]["cliques"]["certificate"]))
+        for flags, code in (
+            (("--graph", paths["wheel.graph"]), 0),
+            (("--matrix", paths["wheel.matrix"]), 0),
+            (("--graph", paths["sun.graph"]), 1),
+        ):
+            assert run(capsys, "verify-certificate", str(cert_path), *flags)[0] == code
+        code, out, err = run(
+            capsys, "verify-certificate", str(cert_path), "--graph", paths["sun.graph"],
+            "--matrix", paths["wheel.matrix"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "argument --matrix: not allowed with argument --graph" in err
+
+    def test_an_instance_is_required(self, capsys, tmp_path):
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps({"method": "cliques", "verdict": True}))
+        code, out, err = run(capsys, "verify-certificate", str(cert_path))
+        assert code == 2
+        assert out == ""
+        assert "one of the arguments --graph --matrix is required" in err
 
     def test_forged_structural_certificate(self, capsys, tmp_path):
         # every recognizer accepts K3, so it has no undominated 3-cycle to show

@@ -29,7 +29,7 @@ from kpacking import (
 )
 from kpacking.errors import CapExceededError, KpackingError, ParseError
 from kpacking.graphs import _bits
-from kpacking.recognition import _obstruction_kind
+from kpacking.recognition import _obstruction_kind, kind_inputs
 
 from helpers import (
     is_totally_balanced,
@@ -264,7 +264,7 @@ class TestStructuralScreen:
         cert = find_undominated_obstruction(g)
         assert cert.verdict is False
         assert (cert.obstruction_kind, cert.obstruction_nodes) == ("cycle6", (2, 3, 4, 5, 6, 7))
-        assert recheck_certificate(cert.to_payload(), graph=g) is True
+        assert recheck_certificate(cert.to_payload(), g) is True
         assert both_verdicts(closed_neighbourhood_matrix(g)) is True
         rep = perfection_report(g)
         assert rep.neighbourhood_matrix_perfect is True
@@ -346,18 +346,18 @@ class TestCertificateRecheck:
             is_extended_clique_node_by_cliques(m),
             is_extended_clique_node_by_pattern(m),
         ):
-            assert recheck_certificate(cert.to_payload(), matrix=m)
+            assert recheck_certificate(cert.to_payload(), m)
 
     def test_round_trip_structural(self):
         g = three_sun()
         cert = find_undominated_obstruction(g)
-        assert recheck_certificate(cert.to_payload(), graph=g)
+        assert recheck_certificate(cert.to_payload(), g)
 
     def test_round_trip_structural_on_the_census(self):
         for n in range(1, 7):
             for g in enumerate_connected_graphs(n):
                 payload = find_undominated_obstruction(g).to_payload()
-                assert recheck_certificate(payload, graph=g), list(g.edges())
+                assert recheck_certificate(payload, g), list(g.edges())
 
     @pytest.mark.parametrize(
         "g, dominated",
@@ -392,12 +392,12 @@ class TestCertificateRecheck:
     def test_forged_positive_structural_certificate_rejected(self, g, dominated):
         payload = find_undominated_obstruction(g).to_payload()
         assert payload["verdict"] is True
-        assert recheck_certificate(payload, graph=g)
+        assert recheck_certificate(payload, g)
         if dominated is None:
             del payload["dominated"]
         else:
             payload["dominated"] = dominated
-        assert not recheck_certificate(payload, graph=g)
+        assert not recheck_certificate(payload, g)
 
     @pytest.mark.parametrize(
         "entry",
@@ -422,7 +422,7 @@ class TestCertificateRecheck:
             "verdict": True,
             "dominated": [{"kind": kind, "nodes": list(nodes), "dominator": dom}],
         }
-        assert not recheck_certificate(payload, graph=wheel(5))
+        assert not recheck_certificate(payload, wheel(5))
 
     @pytest.mark.parametrize(
         "dominated",
@@ -444,13 +444,65 @@ class TestCertificateRecheck:
     def test_malformed_dominated_list_is_a_parse_error(self, dominated):
         payload = {"method": "structural", "verdict": True, "dominated": dominated}
         with pytest.raises(ParseError, match="dominated"):
-            recheck_certificate(payload, graph=wheel(5))
+            recheck_certificate(payload, wheel(5))
+
+    @pytest.mark.parametrize(
+        "cover",
+        [
+            # {1, 2, 6} is a clique of the column graph K6, but not a maximal one
+            [{"clique": [1, 2, 6], "row": 6}],
+            [{"clique": [1, 2, 3, 4, 5, 6], "row": 7}],
+            [{"clique": [1, 2, 3, 4, 5, 6], "row": 0}],
+            # row 1 of N[wheel(6)] is {1, 2, 5, 6}
+            [{"clique": [1, 2, 3, 4, 5, 6], "row": 1}],
+        ],
+        ids=["clique-not-maximal", "row-above-range", "row-zero", "row-not-the-clique"],
+    )
+    def test_forged_cover_rejected(self, cover):
+        g = wheel(6)
+        payload = is_extended_clique_node_by_cliques(closed_neighbourhood_matrix(g)).to_payload()
+        assert payload["cover"] == [{"clique": [1, 2, 3, 4, 5, 6], "row": 6}]
+        assert recheck_certificate(payload, g)
+        payload["cover"] = cover
+        assert not recheck_certificate(payload, g)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("pattern_rows", None),
+            ("pattern_zeros", None),
+            ("pattern_columns", None),
+            ("pattern_rows", [1, 2]),
+            ("pattern_zeros", [4, 5]),
+            ("pattern_rows", [1, 2, 7]),
+            ("pattern_rows", [0, 2, 3]),
+            ("pattern_zeros", [7, 5, 6]),
+            ("pattern_zeros", [0, 5, 6]),
+            ("pattern_columns", [1, 2, 3, 4, 5]),
+        ],
+        ids=[
+            "no-rows", "no-zeros", "no-columns", "two-rows", "two-zeros",
+            "row-above-range", "row-zero", "zero-column-above-range", "zero-column-zero",
+            "columns-not-the-extension",
+        ],
+    )
+    def test_forged_pattern_rejected(self, field, value):
+        g = web(6, 2)
+        m = closed_neighbourhood_matrix(g)
+        payload = is_extended_clique_node_by_pattern(m).to_payload()
+        assert (payload["pattern_rows"], payload["pattern_zeros"]) == ([1, 2, 3], [4, 5, 6])
+        assert recheck_certificate(payload, m)
+        if value is None:
+            del payload[field]
+        else:
+            payload[field] = value
+        assert not recheck_certificate(payload, m)
 
     def test_tampered_witness_rejected(self):
         m = closed_neighbourhood_matrix(web(6, 2))
         payload = is_extended_clique_node_by_pattern(m).to_payload()
         payload["pattern_zeros"] = [1, 2, 3]
-        assert not recheck_certificate(payload, matrix=m)
+        assert not recheck_certificate(payload, m)
 
     @pytest.mark.parametrize(
         "g, kind, nodes",
@@ -472,7 +524,7 @@ class TestCertificateRecheck:
             "obstruction_kind": kind,
             "obstruction_nodes": nodes,
         }
-        assert not recheck_certificate(payload, graph=g)
+        assert not recheck_certificate(payload, g)
 
     @pytest.mark.parametrize(
         "g, payload",
@@ -494,7 +546,7 @@ class TestCertificateRecheck:
     )
     def test_json_booleans_are_not_integers(self, g, payload):
         with pytest.raises(ParseError):
-            recheck_certificate(payload, graph=g)
+            recheck_certificate(payload, g)
 
     @pytest.mark.parametrize("verdict", ["no", 1, 0, None, "missing"])
     @pytest.mark.parametrize("method", ["cliques", "pattern", "structural"])
@@ -508,31 +560,49 @@ class TestCertificateRecheck:
         }[method]
         m = closed_neighbourhood_matrix(g)
         payload = recognize(m).to_payload()
-        assert recheck_certificate(payload, graph=g, matrix=m)
+        assert recheck_certificate(payload, g)
         if verdict == "missing":
             del payload["verdict"]
         else:
             payload["verdict"] = verdict
         with pytest.raises(ParseError, match="verdict"):
-            recheck_certificate(payload, graph=g, matrix=m)
+            recheck_certificate(payload, g)
 
     @pytest.mark.parametrize("method", [[], {}, None, 1, "CLIQUES"], ids=repr)
     def test_a_method_of_any_json_type_is_unknown(self, method):
         payload = {"method": method, "verdict": True}
         with pytest.raises(ValueError) as exc:
-            recheck_certificate(payload, graph=wheel(6))
+            recheck_certificate(payload, wheel(6))
         assert str(exc.value) == f"unknown certificate method {method!r}"
+
+    def test_kind_inputs(self):
+        g = three_sun()
+        m = closed_neighbourhood_matrix(g)
+        assert kind_inputs(g) == {"cliques": m, "pattern": m, "structural": g}
+        assert kind_inputs(m) == {"cliques": m, "pattern": m, "structural": None}
+
+    @given(connected_graphs(max_nodes=7), connected_graphs(max_nodes=7))
+    @settings(max_examples=100, deadline=None)
+    def test_a_graph_and_its_matrix_recheck_alike(self, g, other):
+        # certificates of g itself, which hold, and of another graph, which
+        # may not: either way the graph and N[G] give one answer
+        m = closed_neighbourhood_matrix(g)
+        exact = (is_extended_clique_node_by_cliques, is_extended_clique_node_by_pattern)
+        for h in (g, other):
+            for recognize in exact:
+                payload = recognize(closed_neighbourhood_matrix(h)).to_payload()
+                assert recheck_certificate(payload, g) == recheck_certificate(payload, m)
+            payload = find_undominated_obstruction(h).to_payload()
+            with pytest.raises(ValueError) as exc:
+                recheck_certificate(payload, m)
+            assert str(exc.value) == "structural certificates need the graph"
 
     def test_a_missing_instance_is_named(self):
         g = three_sun()
         payload = find_undominated_obstruction(g).to_payload()
         with pytest.raises(ValueError) as exc:
-            recheck_certificate(payload, matrix=closed_neighbourhood_matrix(g))
+            recheck_certificate(payload, closed_neighbourhood_matrix(g))
         assert str(exc.value) == "structural certificates need the graph"
-        payload = is_extended_clique_node_by_cliques(closed_neighbourhood_matrix(g)).to_payload()
-        with pytest.raises(ValueError) as exc:
-            recheck_certificate(payload)
-        assert str(exc.value) == "certificate recheck needs a matrix or graph"
 
     @pytest.mark.parametrize(
         "payload",
@@ -544,28 +614,26 @@ class TestCertificateRecheck:
     )
     def test_witness_fields_of_other_kinds_are_shape_checked(self, payload):
         with pytest.raises(ParseError):
-            recheck_certificate(payload, graph=wheel(6))
+            recheck_certificate(payload, wheel(6))
 
     def test_wrong_input_rejected(self):
         m = closed_neighbourhood_matrix(web(6, 2))
         payload = is_extended_clique_node_by_cliques(m).to_payload()
         other = closed_neighbourhood_matrix(complete(6))
-        assert not recheck_certificate(payload, matrix=other)
+        assert not recheck_certificate(payload, other)
 
     @given(
         st.one_of(JSON, CERTIFICATE_LIKE),
         st.one_of(
-            connected_graphs(max_nodes=6).map(lambda g: {"graph": g}),
-            connected_graphs(max_nodes=6).map(
-                lambda g: {"matrix": closed_neighbourhood_matrix(g)}
-            ),
-            binary_matrices().map(lambda m: {"matrix": m}),
+            connected_graphs(max_nodes=6),
+            connected_graphs(max_nodes=6).map(closed_neighbourhood_matrix),
+            binary_matrices(),
         ),
     )
     @settings(max_examples=150, deadline=None)
     def test_any_json_payload_gets_an_answer_or_a_library_error(self, payload, instance):
         try:
-            valid = recheck_certificate(payload, **instance)
+            valid = recheck_certificate(payload, instance)
         except (KpackingError, ValueError):
             return
         assert valid is True or valid is False

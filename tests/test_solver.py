@@ -130,6 +130,18 @@ class TestSolveFixtures:
         with pytest.raises(ValueError):
             solve_kpf(cycle(4), 0)
 
+    @pytest.mark.parametrize(
+        "solve",
+        [solve_kpf, solve_limited_packing, solve_kpf_bruteforce, solve_limited_bruteforce,
+         lp_relaxation],
+        ids=lambda f: f.__name__,
+    )
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_every_solver_refuses_k_below_one(self, solve, k):
+        with pytest.raises(ValueError) as exc:
+            solve(cycle(4), k)
+        assert str(exc.value) == "the packing bound k must be a positive integer"
+
     def test_node_cap(self):
         assert solve_kpf(complete(24), 2).optimum == 2
         with pytest.raises(CapExceededError):
