@@ -109,6 +109,20 @@ def _add_instance_options(p: argparse.ArgumentParser) -> None:
     grp.add_argument("--matrix")
 
 
+class _FamilyAction(argparse.Action):
+    """Store ``--family NAME PARAM ...`` as a ``FamilySpec``.  ``nargs="+"``
+    takes every later word, a trailing FILE too, so a parameter that is not
+    an integer is refused here, as a usage error that names the flag."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        for raw in values[1:]:
+            try:
+                int(raw)
+            except ValueError:
+                raise argparse.ArgumentError(self, f"parameter {raw!r} is not an integer") from None
+        setattr(namespace, self.dest, FamilySpec(values[0], tuple(map(int, values[1:]))))
+
+
 def _parse_k_list(raw: str) -> list[int]:
     try:
         ks = [int(part) for part in raw.split(",") if part.strip()]
@@ -253,7 +267,7 @@ def _cmd_perfection(args) -> int:
 def _cmd_analyze(args) -> int:
     started = time.monotonic()
     if args.family is not None:
-        spec = FamilySpec(args.family[0], tuple(int(x) for x in args.family[1:]))
+        spec = args.family
         g = spec.build()
         if isinstance(g, BinaryMatrix):
             raise ValueError("analyze expects a graph family, not a matrix family")
@@ -507,6 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("input", nargs="?")
     grp.add_argument("--family", nargs="+", metavar=("NAME", "PARAM"),
+                     action=_FamilyAction,
                      help="analyze a generated family member instead of a file")
     p.add_argument("--k", type=_parse_k_list, default=[2, 3])
     p.add_argument("--certificates", action="store_true")

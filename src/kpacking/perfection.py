@@ -413,7 +413,7 @@ def is_perfect_matrix(m: BinaryMatrix):
 # combined verdict for a graph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PerfectionReport:
     """All verdict paths for one graph's closed neighbourhood matrix.
 

@@ -22,7 +22,7 @@ maps each path's name to its recognizer and its recheck.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .errors import CapExceededError, ConsistencyError, ParseError, ZeroColumnError
 from .graphs import (
@@ -48,45 +48,32 @@ STRUCTURAL_SCREEN_NODE_CAP = 24
 PATTERN_WORK_CAP = 4 * 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecognitionCertificate:
     """Outcome of one recognizer run, with a re-checkable witness.
 
-    Exactly one witness group is populated, depending on method and verdict:
-    cover / uncovered_clique for ``cliques``, pattern_* for ``pattern``,
-    obstruction_* / dominated for ``structural``.
+    ``witness`` maps the payload's field names to their values, tuples for
+    its lists: cover / uncovered_clique for ``cliques``, pattern_* for
+    ``pattern``, obstruction_* / dominated for ``structural``.  Each cover or
+    dominated item is the object the payload shows.
     """
 
     method: str
     verdict: bool
-    cover: tuple[tuple[tuple[int, ...], int], ...] | None = None
-    uncovered_clique: tuple[int, ...] | None = None
-    pattern_columns: tuple[int, ...] | None = None
-    pattern_rows: tuple[int, int, int] | None = None
-    pattern_zeros: tuple[int, int, int] | None = None
-    obstruction_kind: str | None = None
-    obstruction_nodes: tuple[int, ...] | None = None
-    dominated: tuple[tuple[str, tuple[int, ...], int], ...] | None = None
+    witness: dict
 
     def to_payload(self) -> dict:
-        """The populated fields in field order, tuples as lists and each
-        cover or dominated item as an object."""
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None:
-                continue
-            if f.name == "cover":
-                value = [{"clique": list(cl), "row": row} for cl, row in value]
-            elif f.name == "dominated":
-                value = [
-                    {"kind": kind, "nodes": list(nodes), "dominator": dom}
-                    for kind, nodes, dom in value
-                ]
-            elif isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
-        return out
+        """The method, verdict and witness, tuples as lists, in new containers."""
+        return {"method": self.method, "verdict": self.verdict, **_json(self.witness)}
+
+
+def _json(value):
+    """``value`` with every dict rebuilt and every tuple or list as a new list."""
+    if isinstance(value, dict):
+        return {key: _json(item) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_json(item) for item in value]
+    return value
 
 
 def clique_graph(m: BinaryMatrix) -> Graph:
@@ -143,9 +130,9 @@ def _cliques_certificate(m: BinaryMatrix, gq: Graph) -> RecognitionCertificate:
     for cl in maximal_cliques(gq):
         row = support_row.get(_mask_of(cl))
         if row is None:
-            return RecognitionCertificate("cliques", False, uncovered_clique=cl)
-        cover.append((cl, row))
-    return RecognitionCertificate("cliques", True, cover=tuple(cover))
+            return RecognitionCertificate("cliques", False, {"uncovered_clique": cl})
+        cover.append({"clique": cl, "row": row})
+    return RecognitionCertificate("cliques", True, {"cover": tuple(cover)})
 
 
 def _lex_less(x: int, y: int) -> bool:
@@ -232,15 +219,13 @@ def is_extended_clique_node_by_pattern(m: BinaryMatrix) -> RecognitionCertificat
                                 best = (ext, (a + 1, b + 1, c + 1), (ca, cb, cc))
                             break
     if best is None:
-        return RecognitionCertificate("pattern", True)
+        return RecognitionCertificate("pattern", True, {})
     ext, row_triple, zeros = best
-    return RecognitionCertificate(
-        "pattern",
-        False,
-        pattern_columns=tuple(_bits(ext)),
-        pattern_rows=row_triple,
-        pattern_zeros=zeros,
-    )
+    return RecognitionCertificate("pattern", False, {
+        "pattern_columns": tuple(_bits(ext)),
+        "pattern_rows": row_triple,
+        "pattern_zeros": zeros,
+    })
 
 
 _OBSTRUCTION_SIZES = (4, 5, 6)
@@ -338,13 +323,10 @@ def find_undominated_obstruction(g: Graph) -> RecognitionCertificate:
         dom = _dominator(g, _mask_of(nodes))
         if dom is None:
             return RecognitionCertificate(
-                "structural",
-                False,
-                obstruction_kind=kind,
-                obstruction_nodes=nodes,
+                "structural", False, {"obstruction_kind": kind, "obstruction_nodes": nodes}
             )
-        dominated.append((kind, nodes, dom))
-    return RecognitionCertificate("structural", True, dominated=tuple(dominated))
+        dominated.append({"kind": kind, "nodes": nodes, "dominator": dom})
+    return RecognitionCertificate("structural", True, {"dominated": tuple(dominated)})
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +447,8 @@ def _recheck_structural(payload: dict, g: Graph, verdict: bool) -> bool:
     dominated = payload.get("dominated")
     if dominated is None:
         return False
-    # each entry on its own first, then the whole list against a rerun
+    # each entry on its own first, then the whole list against a rerun's,
+    # entry by entry on the rerun's keys, so that extra keys are ignored
     for item in dominated:
         nodes, dom = item["nodes"], item["dominator"]
         if not _is_obstruction(g, nodes, item["kind"]):
@@ -474,11 +457,12 @@ def _recheck_structural(payload: dict, g: Graph, verdict: bool) -> bool:
         mask = _mask_of(nodes)
         if not 1 <= dom <= g.n or g.adj[dom - 1] & mask != mask:
             return False
-    claimed = tuple(
-        (item["kind"], tuple(item["nodes"]), item["dominator"]) for item in dominated
+    rerun = find_undominated_obstruction(g).to_payload()
+    expected = rerun.get("dominated", [])
+    return rerun["verdict"] and len(expected) == len(dominated) and all(
+        all(item[key] == value for key, value in entry.items())
+        for item, entry in zip(dominated, expected)
     )
-    rerun = find_undominated_obstruction(g)
-    return rerun.verdict and rerun.dominated == claimed
 
 
 # kind -> (whether its recognizer reads the graph rather than the matrix, the

@@ -192,15 +192,29 @@ def reference_pattern(m: BinaryMatrix) -> RecognitionCertificate:
                             if best is None or _lex_less(ext, best[0]):
                                 best = (ext, (a + 1, b + 1, c + 1), (ca, cb, cc))
     if best is None:
-        return RecognitionCertificate("pattern", True)
+        return RecognitionCertificate("pattern", True, {})
     ext, row_triple, zeros = best
-    return RecognitionCertificate(
-        "pattern",
-        False,
-        pattern_columns=tuple(_bits(ext)),
-        pattern_rows=row_triple,
-        pattern_zeros=zeros,
-    )
+    return RecognitionCertificate("pattern", False, {
+        "pattern_columns": tuple(_bits(ext)),
+        "pattern_rows": row_triple,
+        "pattern_zeros": zeros,
+    })
+
+
+def domination_number(g: Graph) -> int:
+    """Least size of a node set whose closed neighbourhoods cover every node,
+    by scanning the node subsets in order of size.  Intended for n <= 8.
+    """
+    full = (1 << g.n) - 1
+    closed = [g.closed_mask(v) for v in g.nodes()]
+    for size in range(1, g.n + 1):
+        for subset in itertools.combinations(closed, size):
+            covered = 0
+            for mask in subset:
+                covered |= mask
+            if covered == full:
+                return size
+    raise AssertionError("the whole node set dominates every graph")
 
 
 def universal_nodes(g: Graph) -> tuple[int, ...]:

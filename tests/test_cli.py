@@ -236,6 +236,14 @@ class TestRecognize:
         code, _, _ = run(capsys, "recognize", "--matrix", str(path), "--method", "structural")
         assert code == 2
 
+    def test_zero_row_matrix_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "zero-row.matrix"
+        path.write_text("3 3\n110\n011\n000\n")
+        code, out, err = run(capsys, "recognize", "--matrix", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: recognizers expect no zero rows\n"
+
     def test_oversize_graph_file(self, capsys, tmp_path):
         path = tmp_path / "huge.graph"
         path.write_text("100000 0\n")
@@ -360,6 +368,22 @@ class TestAnalyze:
         assert code == 2
         assert out == ""
         assert "argument --family: not allowed with argument input" in err
+
+    @pytest.mark.parametrize(
+        "params",
+        [("5", "FILE"), ("x",)],
+        ids=["file-after-family", "word-parameter"],
+    )
+    def test_family_parameters_are_integers(self, capsys, square, params):
+        # --family takes every later word, so a FILE there is a parameter
+        params = tuple(square if p == "FILE" else p for p in params)
+        code, out, err = run(capsys, "analyze", "--family", "cycle", *params)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: kpacking analyze")
+        assert err.endswith(
+            f"error: argument --family: parameter {params[-1]!r} is not an integer\n"
+        )
 
     def test_file_or_family_is_required(self, capsys):
         code, out, err = run(capsys, "analyze", "--k", "2")

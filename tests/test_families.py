@@ -56,6 +56,8 @@ class TestBasicFamilies:
         assert complete(1).edge_count() == 0
         assert complete(5).edge_count() == 10
         assert degree_sequence(complete(5)) == (4,) * 5
+        with pytest.raises(FamilyParameterError, match="complete graph needs n >= 1"):
+            complete(0)
 
     def test_cycle(self):
         g = cycle(5)

@@ -114,6 +114,20 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             Graph(n=2, adj=(2, 0))
 
+    @pytest.mark.parametrize(
+        "n, adj, message",
+        [
+            (0, (), "graph needs at least one node"),
+            (2, (2,), "adjacency row count does not match n"),
+            (2, (0b110, 0b001), "adjacency row 1 references labels above n"),
+        ],
+        ids=["no-nodes", "row-count", "label-above-n"],
+    )
+    def test_constructor_refusals(self, n, adj, message):
+        with pytest.raises(ValueError) as exc:
+            Graph(n, adj)
+        assert str(exc.value) == message
+
     def test_closed_mask(self):
         g = cycle(4)
         assert g.closed_mask(1) == 0b1011  # {1, 2, 4}
@@ -517,8 +531,25 @@ class TestBinaryMatrix:
         assert BinaryMatrix.from_rows([[1, 0], [0, 1]]).has_zero_column() is False
         assert BinaryMatrix.from_rows([[1, 0], [1, 0]]).has_zero_column() is True
 
+    @pytest.mark.parametrize(
+        "rows, cols, masks, message",
+        [
+            (0, 2, (), "matrix needs at least one row and one column"),
+            (1, 0, (0,), "matrix needs at least one row and one column"),
+            (2, 2, (1,), "row mask count does not match rows"),
+            (2, 2, (1, 0b100), "row 2 references columns above 2"),
+        ],
+        ids=["no-rows", "no-columns", "mask-count", "column-above-cols"],
+    )
+    def test_constructor_refusals(self, rows, cols, masks, message):
+        with pytest.raises(ValueError) as exc:
+            BinaryMatrix(rows, cols, masks)
+        assert str(exc.value) == message
+
     def test_rejects_bad_entries(self):
         with pytest.raises(ValueError):
             BinaryMatrix.from_rows([[1, 2]])
+        with pytest.raises(ValueError, match="^ragged rows$"):
+            BinaryMatrix.from_rows([[1, 0], [1]])
         with pytest.raises(ValueError):
             BinaryMatrix.from_rows([])

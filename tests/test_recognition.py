@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,7 +30,7 @@ from kpacking import (
 )
 from kpacking.errors import CapExceededError, KpackingError, ParseError
 from kpacking.graphs import _bits
-from kpacking.recognition import _obstruction_kind, kind_inputs
+from kpacking.recognition import CERTIFICATE_KINDS, _obstruction_kind, kind_inputs
 
 from helpers import (
     is_totally_balanced,
@@ -146,18 +147,18 @@ class TestExactRecognizers:
         m = closed_neighbourhood_matrix(web(6, 2))
         cert = is_extended_clique_node_by_cliques(m)
         assert cert.verdict is False
-        assert cert.uncovered_clique == (1, 2, 3, 4, 5, 6)
+        assert cert.witness["uncovered_clique"] == (1, 2, 3, 4, 5, 6)
 
     def test_negative_pattern_certificate(self):
         m = closed_neighbourhood_matrix(web(6, 2))
         cert = is_extended_clique_node_by_pattern(m)
         assert cert.verdict is False
-        assert cert.pattern_rows == (1, 2, 3)
-        assert cert.pattern_zeros == (4, 5, 6)
-        assert cert.pattern_columns == (1, 2, 3, 4, 5, 6)
+        assert cert.witness["pattern_rows"] == (1, 2, 3)
+        assert cert.witness["pattern_zeros"] == (4, 5, 6)
+        assert cert.witness["pattern_columns"] == (1, 2, 3, 4, 5, 6)
         # the zero positions really carry the claimed 0/1 pattern
-        r1, r2, r3 = cert.pattern_rows
-        z1, z2, z3 = cert.pattern_zeros
+        r1, r2, r3 = cert.witness["pattern_rows"]
+        z1, z2, z3 = cert.witness["pattern_zeros"]
         assert m.entry(r1, z1) == 0 and m.entry(r2, z1) == 1 and m.entry(r3, z1) == 1
         assert m.entry(r1, z2) == 1 and m.entry(r2, z2) == 0 and m.entry(r3, z2) == 1
         assert m.entry(r1, z3) == 1 and m.entry(r2, z3) == 1 and m.entry(r3, z3) == 0
@@ -221,25 +222,27 @@ class TestStructuralScreen:
         for n, kind in ((4, "cycle4"), (5, "cycle5"), (6, "cycle6")):
             cert = find_undominated_obstruction(cycle(n))
             assert cert.verdict is False
-            assert cert.obstruction_kind == kind
-            assert cert.obstruction_nodes == tuple(range(1, n + 1))
+            assert cert.witness["obstruction_kind"] == kind
+            assert cert.witness["obstruction_nodes"] == tuple(range(1, n + 1))
 
     def test_sun_obstruction(self):
         cert = find_undominated_obstruction(three_sun())
         assert cert.verdict is False
-        assert cert.obstruction_kind == "sun"
-        assert cert.obstruction_nodes == (1, 2, 3, 4, 5, 6)
+        assert cert.witness["obstruction_kind"] == "sun"
+        assert cert.witness["obstruction_nodes"] == (1, 2, 3, 4, 5, 6)
 
     def test_wheel_rim_is_dominated_by_the_hub(self):
         cert = find_undominated_obstruction(wheel(5))
         assert cert.verdict is True
-        assert cert.dominated == (("cycle4", (1, 2, 3, 4), 5),)
+        assert cert.witness["dominated"] == (
+            {"kind": "cycle4", "nodes": (1, 2, 3, 4), "dominator": 5},
+        )
 
     def test_long_cycles_escape_the_screen(self):
         # an induced 7-cycle is not one of the screened shapes
         cert = find_undominated_obstruction(cycle(7))
         assert cert.verdict is True
-        assert cert.dominated == ()
+        assert cert.witness["dominated"] == ()
 
     def test_screen_diverges_from_exact_methods(self):
         # smallest disagreement: the octahedron passes the screen but both
@@ -263,7 +266,10 @@ class TestStructuralScreen:
         g = Graph.from_edges(8, [map(int, e.split("-")) for e in edges.split()])
         cert = find_undominated_obstruction(g)
         assert cert.verdict is False
-        assert (cert.obstruction_kind, cert.obstruction_nodes) == ("cycle6", (2, 3, 4, 5, 6, 7))
+        assert cert.witness == {
+            "obstruction_kind": "cycle6",
+            "obstruction_nodes": (2, 3, 4, 5, 6, 7),
+        }
         assert recheck_certificate(cert.to_payload(), g) is True
         assert both_verdicts(closed_neighbourhood_matrix(g)) is True
         rep = perfection_report(g)
@@ -288,15 +294,19 @@ class TestStructuralScreen:
     @settings(max_examples=80, deadline=None)
     def test_screen_matches_the_reference_screen(self, g):
         cert = find_undominated_obstruction(g)
-        got = (cert.verdict, cert.obstruction_kind, cert.obstruction_nodes, cert.dominated)
+        w = cert.witness
+        dominated = w.get("dominated")
+        if dominated is not None:
+            dominated = tuple((d["kind"], d["nodes"], d["dominator"]) for d in dominated)
+        got = (cert.verdict, w.get("obstruction_kind"), w.get("obstruction_nodes"), dominated)
         assert got == reference_screen(g)
 
     def test_suns_sharing_a_triangle_are_listed_in_order(self):
         cert = find_undominated_obstruction(SHARED_TRIANGLE_SUNS)
         assert cert.verdict is True
-        assert cert.dominated == (
-            ("sun", (1, 2, 3, 4, 6, 7), 8),
-            ("sun", (1, 2, 3, 5, 6, 7), 8),
+        assert cert.witness["dominated"] == (
+            {"kind": "sun", "nodes": (1, 2, 3, 4, 6, 7), "dominator": 8},
+            {"kind": "sun", "nodes": (1, 2, 3, 5, 6, 7), "dominator": 8},
         )
 
     def test_kinds_of_every_labelled_graph_on_six_nodes(self):
@@ -359,6 +369,60 @@ class TestCertificateRecheck:
                 payload = find_undominated_obstruction(g).to_payload()
                 assert recheck_certificate(payload, g), list(g.edges())
 
+    def test_census_certificates_survive_json_and_recheck(self):
+        # every kind's certificate of every graph up to 7 nodes: the kinds
+        # that read the matrix recheck against N[G] as well as against G
+        for n in range(1, 8):
+            for g in enumerate_connected_graphs(n):
+                on_graph = kind_inputs(g)
+                on_matrix = kind_inputs(closed_neighbourhood_matrix(g))
+                for name, (_, recognize, _) in CERTIFICATE_KINDS.items():
+                    payload = recognize(on_graph[name]).to_payload()
+                    assert json.loads(json.dumps(payload)) == payload
+                    assert recheck_certificate(payload, g) is True, (name, list(g.edges()))
+                    if on_matrix[name] is not None:
+                        assert recheck_certificate(payload, on_matrix[name]) is True
+
+    @pytest.mark.parametrize(
+        "g, method",
+        [
+            (wheel(6), "cliques"),
+            (web(6, 2), "cliques"),
+            (web(6, 2), "pattern"),
+            (SHARED_TRIANGLE_SUNS, "structural"),
+            (three_sun(), "structural"),
+        ],
+        ids=["cover", "uncovered-clique", "pattern", "dominated", "obstruction"],
+    )
+    def test_editing_a_payload_leaves_the_certificate_alone(self, g, method):
+        cert = CERTIFICATE_KINDS[method][1](kind_inputs(g)[method])
+        payload = cert.to_payload()
+        expected = json.loads(json.dumps(payload))
+
+        def vandalize(value):
+            if isinstance(value, list):
+                for item in value:
+                    vandalize(item)
+                value.append(0)
+            elif isinstance(value, dict):
+                for item in value.values():
+                    vandalize(item)
+                value["extra"] = 0
+
+        vandalize(payload)
+        assert cert.to_payload() == expected
+
+    @pytest.mark.parametrize(
+        "g, method, field",
+        [(wheel(6), "cliques", "cover"), (SHARED_TRIANGLE_SUNS, "structural", "dominated")],
+        ids=["cover", "dominated"],
+    )
+    def test_witness_items_with_extra_keys_recheck(self, g, method, field):
+        payload = CERTIFICATE_KINDS[method][1](kind_inputs(g)[method]).to_payload()
+        for item in payload[field]:
+            item["note"] = "not part of the witness"
+        assert recheck_certificate(payload, g) is True
+
     @pytest.mark.parametrize(
         "g, dominated",
         [
@@ -411,12 +475,13 @@ class TestCertificateRecheck:
     )
     def test_entries_are_checked_without_the_rerun(self, monkeypatch, entry):
         # a rerun that vouched for the forged list would not get it through
+        kind, nodes, dom = entry
+        vouched = {"kind": kind, "nodes": nodes, "dominator": dom}
         monkeypatch.setattr(
             kpacking.recognition,
             "find_undominated_obstruction",
-            lambda g: RecognitionCertificate("structural", True, dominated=(entry,)),
+            lambda g: RecognitionCertificate("structural", True, {"dominated": (vouched,)}),
         )
-        kind, nodes, dom = entry
         payload = {
             "method": "structural",
             "verdict": True,

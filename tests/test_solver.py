@@ -46,6 +46,17 @@ class TestPackingFunction:
         assert f.is_feasible(g)
         assert not PackingFunction(values=(3, 1, 1, 1), k=4).is_feasible(g)
 
+    @pytest.mark.parametrize(
+        "values",
+        [(1, 1, 1), (1, 1, 1, 1, 1), (-1, 1, 1, 1), (5, 0, 0, 0)],
+        ids=["too-short", "too-long", "negative", "above-k"],
+    )
+    def test_wrong_length_or_range_is_infeasible(self, values):
+        # each closed neighbourhood of an edgeless graph is one node, so a
+        # negative value passes every neighbourhood sum
+        g = Graph(4, (0, 0, 0, 0))
+        assert PackingFunction(values=values, k=4).is_feasible(g) is False
+
     def test_binary(self):
         assert PackingFunction(values=(0, 1, 0), k=2).is_binary()
 
