@@ -28,7 +28,6 @@ from .graphs import (
     Graph,
     closed_neighbourhood_matrix,
     complement,
-    find_induced_cycle,
     format_graph,
     format_matrix,
     induced_cycles,

@@ -465,7 +465,9 @@ def _cmd_verify(args) -> int:
 def _cmd_verify_certificate(args) -> int:
     try:
         payload = json.loads(_read(args.certificate))
-    except json.JSONDecodeError as exc:
+    # the decoder recurses per nesting level, so a deep enough file exhausts
+    # the stack rather than failing to decode
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"bad certificate JSON: {exc}") from None
     valid = recheck_certificate(payload, _load_instance(args)[0])
     sys.stdout.write(_dump({"schema": SCHEMA, "command": "verify-certificate", "valid": valid}))

@@ -206,35 +206,30 @@ class FamilySpec:
         entry = FAMILIES.get(self.family)
         if entry is None:
             raise FamilyParameterError(f"unknown family {self.family!r}")
-        builder, arity = entry
+        builder, arity, node_count = entry
         if len(self.parameters) != arity:
             raise FamilyParameterError(
                 f"family {self.family!r} takes {arity} parameter(s), "
                 f"got {len(self.parameters)}"
             )
         # checked before building, because building costs time quadratic in n
-        if self.family == "clique_cycle":
-            nodes = 4 * self.parameters[0] + 2
-        elif self.family in ("three_sun", "pyramid"):
-            nodes = 6
-        else:
-            nodes = self.parameters[0]
-        if nodes > GRAPH_FILE_NODE_CAP:
+        if node_count(*self.parameters) > GRAPH_FILE_NODE_CAP:
             raise CapExceededError(
                 f"family members are capped at {GRAPH_FILE_NODE_CAP} nodes"
             )
         return builder(*self.parameters)
 
 
-# name -> (builder, parameter count)
+# name -> (builder, parameter count, node count of the member built from
+# those parameters)
 FAMILIES = {
-    "complete": (complete, 1),
-    "cycle": (cycle, 1),
-    "wheel": (wheel, 1),
-    "web": (web, 2),
-    "antiweb": (antiweb, 2),
-    "three_sun": (three_sun, 0),
-    "pyramid": (pyramid, 1),
-    "clique_cycle": (clique_cycle_family, 1),
-    "circulant": (circulant_matrix, 2),
+    "complete": (complete, 1, lambda n: n),
+    "cycle": (cycle, 1, lambda n: n),
+    "wheel": (wheel, 1, lambda n: n),
+    "web": (web, 2, lambda n, k: n),
+    "antiweb": (antiweb, 2, lambda n, k: n),
+    "three_sun": (three_sun, 0, lambda: 6),
+    "pyramid": (pyramid, 1, lambda j: 6),
+    "clique_cycle": (clique_cycle_family, 1, lambda k: 4 * k + 2),
+    "circulant": (circulant_matrix, 2, lambda n, k: n),
 }

@@ -141,25 +141,6 @@ class BinaryMatrix:
             if m & ~full:
                 raise ValueError(f"row {i} references columns above {self.cols}")
 
-    @classmethod
-    def from_rows(cls, entries) -> "BinaryMatrix":
-        entries = [list(r) for r in entries]
-        if not entries:
-            raise ValueError("matrix needs at least one row")
-        cols = len(entries[0])
-        masks = []
-        for r in entries:
-            if len(r) != cols:
-                raise ValueError("ragged rows")
-            m = 0
-            for j, x in enumerate(r, start=1):
-                if x not in (0, 1):
-                    raise ValueError("entries must be 0 or 1")
-                if x:
-                    m |= _bit(j)
-            masks.append(m)
-        return cls(len(entries), cols, tuple(masks))
-
     def entry(self, i: int, j: int) -> int:
         return (self.row_masks[i - 1] >> (j - 1)) & 1
 
@@ -397,11 +378,6 @@ def induced_cycles(
                 stack.append((used, blocked | adj[last - 1], children))
             else:
                 path.pop()
-
-
-def find_induced_cycle(g: Graph, min_length: int = 4, odd_only: bool = False):
-    """First induced cycle in the deterministic search order, or None."""
-    return next(induced_cycles(g, min_length, odd_only), None)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .graphs import (
     _bits,
     closed_neighbourhood_matrix,
     complement,
-    find_induced_cycle,
+    induced_cycles,
 )
 from .recognition import (
     RecognitionCertificate,
@@ -56,7 +56,7 @@ def find_odd_hole(g: Graph):
     order, or None.  Graphs above the node cap are rejected.
     """
     _check_odd_hole_cap(g.n)
-    return find_induced_cycle(g, 5, odd_only=True)
+    return next(induced_cycles(g, 5, odd_only=True), None)
 
 
 def is_perfect_graph(g: Graph):
@@ -453,6 +453,10 @@ def perfection_report(g: Graph) -> PerfectionReport:
     since they would demonstrate a bug, not a property of the graph.  Graphs
     above ``ODD_HOLE_NODE_CAP`` are refused before any work, because the odd
     hole search on the n-node column intersection graph would refuse them.
+
+    ``gq``, the column intersection graph of N[g], is g², and the pattern
+    recognizer is the Helly test on N[g], so ``neighbourhood_matrix_perfect``
+    means Helly closed neighbourhoods and a Berge g².
     """
     _check_odd_hole_cap(g.n)
     m = closed_neighbourhood_matrix(g)

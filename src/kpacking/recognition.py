@@ -7,6 +7,9 @@ Three verdict paths are provided:
 * ``pattern``   : search for a forbidden 3-row pattern: three columns carrying
                   pairwise-complementary zeros, extended by every column where
                   all three rows agree on 1, with no row covering the extension.
+                  This is Gilmore's conformality test (Berge, Hypergraphs,
+                  1989), and on ``N[G]``, its own transpose, the Helly test
+                  on the closed neighbourhoods.
 * ``structural``: a graph-side screen that looks for small undominated induced
                   subgraphs (4/5/6-cycles and the 3-sun), listing them from a
                   bounded induced cycle search and from triangles with three
@@ -18,6 +21,10 @@ Three verdict paths are provided:
 Each path returns a :class:`RecognitionCertificate` whose witness can be
 re-checked independently via :func:`recheck_certificate`.  ``CERTIFICATE_KINDS``
 maps each path's name to its recognizer and its recheck.
+
+On ``N[G]`` the column intersection graph is ``G²``, so membership, an
+extended clique-node matrix with a perfect column intersection graph, reads
+on the graph: Helly closed neighbourhoods and a Berge ``G²``.
 """
 
 from __future__ import annotations
@@ -161,6 +168,11 @@ def is_extended_clique_node_by_pattern(m: BinaryMatrix) -> RecognitionCertificat
     Negative witness: minimal (column set, row triple) in lexicographic order.
     Each column keeps the mask of the rows holding it, so the rows covering
     an extension are found by ANDing masks rather than by scanning rows.
+
+    On ``N[G]`` this is the Helly test on the closed neighbourhoods of G: a
+    negative ``pattern_rows`` is a node triple a, b, c whose set W(a,b,c) of
+    nodes lying in two of N[a], N[b], N[c] lies in no N[v], because the
+    extension lies in W(a,b,c).
 
     Raises ``CapExceededError`` once the row triples visited plus the
     extension checks made exceed ``PATTERN_WORK_CAP``.

@@ -12,7 +12,7 @@ from kpacking import (
     PackingFunction,
     RecognitionCertificate,
     SolveResult,
-    find_induced_cycle,
+    induced_cycles,
     is_isomorphic,
     polytope_vertices,
     three_sun,
@@ -126,7 +126,7 @@ def reference_kind(sub: Graph):
     degs = degree_sequence(sub)
     if all(d == 2 for d in degs):
         # a 2-regular graph is one cycle iff a chordless cycle covers it
-        if find_induced_cycle(sub, min_length=sub.n) is None:
+        if next(induced_cycles(sub, min_length=sub.n), None) is None:
             return None
         return f"cycle{sub.n}"
     if degs == (2, 2, 2, 4, 4, 4) and is_isomorphic(sub, three_sun()):
@@ -217,6 +217,34 @@ def domination_number(g: Graph) -> int:
     raise AssertionError("the whole node set dominates every graph")
 
 
+def helly_violations(g: Graph) -> set[tuple[int, int, int]]:
+    """The node triples a < b < c whose set W(a,b,c), the nodes lying in at
+    least two of N[a], N[b], N[c], lies in no closed neighbourhood N[v].  The
+    closed neighbourhoods of g are Helly iff there is none.  Built from the
+    adjacency masks alone, one triple and one node at a time.
+    """
+    closed = [g.closed_mask(v) for v in g.nodes()]
+    found = set()
+    for a, b, c in itertools.combinations(g.nodes(), 3):
+        na, nb, nc = closed[a - 1], closed[b - 1], closed[c - 1]
+        w = (na & nb) | (nb & nc) | (na & nc)
+        if not any(w & nv == w for nv in closed):
+            found.add((a, b, c))
+    return found
+
+
+def square(g: Graph) -> Graph:
+    """g², from the adjacency masks: u and v are adjacent iff they are at
+    distance 1 or 2 in g."""
+    adj = []
+    for v in g.nodes():
+        reach = g.closed_mask(v)
+        for u in reference_bits(g.adj[v - 1]):
+            reach |= g.adj[u - 1]
+        adj.append(reach & ~_bit(v))
+    return Graph(g.n, tuple(adj))
+
+
 def universal_nodes(g: Graph) -> tuple[int, ...]:
     """Nodes adjacent to every other node, ascending."""
     full = (1 << g.n) - 1
@@ -258,7 +286,7 @@ def is_totally_balanced(m: BinaryMatrix) -> bool:
         for j in row_support(m, i)
     ]
     bip = Graph.from_edges(m.rows + m.cols, edges)
-    return find_induced_cycle(bip, min_length=6) is None
+    return next(induced_cycles(bip, min_length=6), None) is None
 
 
 def tight_constraint_rank(m: BinaryMatrix, point: tuple[Fraction, ...]) -> int:

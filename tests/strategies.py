@@ -51,8 +51,7 @@ def binary_matrices(draw, max_rows=5, max_cols=5):
     missing = ((1 << cols) - 1) & ~covered
     if missing:
         masks.append(missing)
-    lists = [[(m >> j) & 1 for j in range(cols)] for m in masks]
-    return BinaryMatrix.from_rows(lists)
+    return BinaryMatrix(len(masks), cols, tuple(masks))
 
 
 @st.composite

@@ -16,8 +16,8 @@ from kpacking import (
     complete,
     cycle,
     enumerate_connected_graphs,
-    find_induced_cycle,
     find_undominated_obstruction,
+    induced_cycles,
     is_extended_clique_node_by_cliques,
     is_extended_clique_node_by_pattern,
     is_isomorphic,
@@ -200,7 +200,7 @@ def test_clique_cycle_family():
             failures.append(f"member {k} is not chordal")
     g = clique_cycle_family(2)
     gq = clique_graph(closed_neighbourhood_matrix(g))
-    hole = find_induced_cycle(gq, min_length=5, odd_only=True)
+    hole = next(induced_cycles(gq, min_length=5, odd_only=True), None)
     if hole is None or len(hole) != 5:
         failures.append("clique graph of member 2 has no induced 5-cycle")
     if is_perfect_graph(gq)[0]:

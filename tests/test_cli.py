@@ -55,10 +55,10 @@ def cocktail_party_matrix(t: int) -> BinaryMatrix:
     rows = []
     for flip in (0, 1):
         for p in range(t):
-            rows.append([
-                int((q == p) != (side ^ flip)) for q in range(t) for side in (0, 1)
-            ])
-    return BinaryMatrix.from_rows(rows)
+            rows.append("".join(
+                str(int((q == p) != (side ^ flip))) for q in range(t) for side in (0, 1)
+            ))
+    return parse_matrix(f"{2 * t} {2 * t}\n" + "\n".join(rows) + "\n")
 
 
 def run(capsys, *argv):
@@ -152,7 +152,7 @@ class TestGen:
         code, out, err = run(capsys, *argv)
         assert code == 3
         assert out == ""
-        assert "capped at 1024 nodes" in err
+        assert err == "error: family members are capped at 1024 nodes\n"
 
     def test_member_at_the_node_cap(self, capsys):
         code, out, _ = run(capsys, "gen", "cycle", "1024")
@@ -350,8 +350,10 @@ class TestAnalyze:
         assert verdicts["extended_clique_node"] is False
         assert verdicts["neighbourhood_matrix_perfect"] is False
         assert verdicts["structural_agrees"] is True
-        timing = json.loads(err)
-        assert "seconds" in json.dumps(timing) or timing
+        # stderr is the timing line and nothing else
+        seconds = json.loads(err)["timing"]["seconds"]
+        assert err == json.dumps({"timing": {"seconds": seconds}}) + "\n"
+        assert type(seconds) is float and seconds >= 0
 
     def test_graph_file_input(self, capsys, square):
         payload, _ = run_json(capsys, "analyze", square, "--k", "2,3")
@@ -607,6 +609,17 @@ class TestVerifyCertificate:
         assert code == 2
         assert out == ""
         assert err.startswith("error: bad certificate JSON: ")
+
+    def test_deeply_nested_certificate_is_bad_json(self, capsys, tmp_path, square):
+        # the decoder recurses once per level and runs out of stack here; the
+        # failure is a bad input (2), not a failed verification (1)
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text("[" * 200_000)
+        code, out, err = run(capsys, "verify-certificate", str(cert_path), "--graph", square)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad certificate JSON: ")
+        assert err.count("\n") == 1
 
     def test_one_instance_per_recheck(self, capsys, tmp_path):
         # both column graphs are K6, but only the wheel has a row holding

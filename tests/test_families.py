@@ -19,6 +19,7 @@ from kpacking import (
     enumerate_connected_graphs,
     is_connected,
     is_isomorphic,
+    parse_matrix,
     pyramid,
     three_sun,
     web,
@@ -139,14 +140,13 @@ class TestCirculantMatrix:
     def test_row_structure(self):
         m = circulant_matrix(5, 2)
         # row i marks the two successors of i, wrapping modulo 5
-        assert m == BinaryMatrix.from_rows(
-            [
-                [0, 1, 1, 0, 0],
-                [0, 0, 1, 1, 0],
-                [0, 0, 0, 1, 1],
-                [1, 0, 0, 0, 1],
-                [1, 1, 0, 0, 0],
-            ]
+        assert m == parse_matrix(
+            "5 5\n"
+            "01100\n"
+            "00110\n"
+            "00011\n"
+            "10001\n"
+            "11000\n"
         )
 
     def test_full_band(self):
@@ -240,5 +240,24 @@ class TestFamilySpec:
     @given(st.sampled_from(sorted(FAMILIES)))
     @settings(max_examples=20)
     def test_registry_arities_are_consistent(self, name):
-        builder, arity = FAMILIES[name]
+        builder, arity, node_count = FAMILIES[name]
         assert arity >= 0
+        # the node-count rule takes the parameters the builder takes
+        assert node_count.__code__.co_argcount == arity
+
+    @pytest.mark.parametrize(
+        "name, parameters",
+        [("complete", (5,)), ("cycle", (5,)), ("wheel", (5,)), ("web", (7, 2)),
+         ("antiweb", (7, 2)), ("three_sun", ()), ("pyramid", (2,)),
+         ("clique_cycle", (2,)), ("circulant", (5, 2))],
+    )
+    def test_node_count_rule_matches_the_member(self, name, parameters):
+        builder, _, node_count = FAMILIES[name]
+        member = builder(*parameters)
+        size = member.rows if isinstance(member, BinaryMatrix) else member.n
+        assert node_count(*parameters) == size
+
+    def test_fixed_size_family_ignores_its_parameter_for_the_cap(self):
+        # pyramid(j) always has 6 nodes, so a large j reaches the builder
+        with pytest.raises(FamilyParameterError, match="pyramid index"):
+            FamilySpec("pyramid", (5000,)).build()

@@ -18,6 +18,7 @@ from kpacking import (
     find_odd_hole,
     is_perfect_graph,
     is_perfect_matrix,
+    parse_matrix,
     perfection_report,
     polytope_vertices,
     pyramid,
@@ -129,7 +130,7 @@ class TestPolytopeVertices:
         assert len(points) == 6
 
     def test_identity_gives_unit_cube(self):
-        m = BinaryMatrix.from_rows([[1, 0], [0, 1]])
+        m = parse_matrix("2 2\n10\n01\n")
         assert len(polytope_vertices(m)) == 4
 
     def test_column_cap(self, monkeypatch):
@@ -174,7 +175,7 @@ class TestPolytopeVertices:
 class TestPerfectMatrix:
     def test_perfect_examples(self):
         assert is_perfect_matrix(closed_neighbourhood_matrix(complete(4)))[0]
-        assert is_perfect_matrix(BinaryMatrix.from_rows([[1, 0], [0, 1]]))[0]
+        assert is_perfect_matrix(parse_matrix("2 2\n10\n01\n"))[0]
 
     def test_imperfect_with_witness(self):
         verdict, witness = is_perfect_matrix(closed_neighbourhood_matrix(cycle(4)))
@@ -183,7 +184,7 @@ class TestPerfectMatrix:
 
     def test_zero_column_rejected(self):
         with pytest.raises(ZeroColumnError):
-            is_perfect_matrix(BinaryMatrix.from_rows([[1, 0], [1, 0]]))
+            is_perfect_matrix(parse_matrix("2 2\n10\n10\n"))
 
 
 class TestPolytopeFacts:

@@ -21,6 +21,7 @@ from kpacking import (
     is_extended_clique_node_by_pattern,
     is_isomorphic,
     maximal_cliques,
+    parse_matrix,
     perfection_report,
     recheck_certificate,
     solve_kpf,
@@ -33,11 +34,13 @@ from kpacking.graphs import _bits
 from kpacking.recognition import CERTIFICATE_KINDS, _obstruction_kind, kind_inputs
 
 from helpers import (
+    helly_violations,
     is_totally_balanced,
     reference_kind,
     reference_pattern,
     reference_screen,
     row_support,
+    square,
 )
 from strategies import binary_matrices, connected_graphs, joined_graphs, square_matrices
 
@@ -109,22 +112,22 @@ class TestCliqueGraph:
         assert is_isomorphic(gq, web(6, 2))
 
     def test_rectangular_matrix(self):
-        m = BinaryMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
+        m = parse_matrix("2 3\n110\n011\n")
         gq = clique_graph(m)
         assert gq.edges() == ((1, 2), (2, 3))
 
     def test_zero_column_rejected(self):
         with pytest.raises(ZeroColumnError):
-            clique_graph(BinaryMatrix.from_rows([[1, 0], [1, 0]]))
+            clique_graph(parse_matrix("2 2\n10\n10\n"))
 
 
 class TestExactRecognizers:
     def test_identity_matrix_accepted(self):
-        m = BinaryMatrix.from_rows([[1, 0], [0, 1]])
+        m = parse_matrix("2 2\n10\n01\n")
         assert both_verdicts(m) is True
 
     def test_interval_style_matrix_accepted(self):
-        m = BinaryMatrix.from_rows([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+        m = parse_matrix("3 3\n110\n011\n001\n")
         assert both_verdicts(m) is True
 
     def test_cycle_neighbourhoods_rejected(self):
@@ -165,9 +168,9 @@ class TestExactRecognizers:
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            is_extended_clique_node_by_cliques(BinaryMatrix.from_rows([[1, 1, 0]]))
+            is_extended_clique_node_by_cliques(parse_matrix("1 3\n110\n"))
         with pytest.raises(ZeroColumnError):
-            is_extended_clique_node_by_pattern(BinaryMatrix.from_rows([[1, 0], [1, 0]]))
+            is_extended_clique_node_by_pattern(parse_matrix("2 2\n10\n10\n"))
 
     def test_pattern_witness_order_compares_column_masks(self):
         # the minimal witness is chosen on masks, in the order of label tuples
@@ -215,6 +218,24 @@ class TestExactRecognizers:
         for n in range(1, 6):
             for g in enumerate_connected_graphs(n):
                 both_verdicts(closed_neighbourhood_matrix(g))
+
+    def test_pattern_is_the_helly_test_and_the_column_graph_is_the_square(self):
+        # on N[G] a pattern verdict is the Helly verdict on the closed
+        # neighbourhoods, a negative one names a violating triple, and the
+        # column intersection graph is G², so membership in the paper's class
+        # reads as Helly closed neighbourhoods and a Berge G²
+        negative = 0
+        for n in range(1, 8):
+            for g in enumerate_connected_graphs(n):
+                m = closed_neighbourhood_matrix(g)
+                cert = is_extended_clique_node_by_pattern(m)
+                violations = helly_violations(g)
+                assert cert.verdict == (not violations), list(g.edges())
+                if not cert.verdict:
+                    negative += 1
+                    assert cert.witness["pattern_rows"] in violations, list(g.edges())
+                assert clique_graph(m) == square(g), list(g.edges())
+        assert negative == 555
 
 
 class TestStructuralScreen:
@@ -330,14 +351,13 @@ class TestStructuralScreen:
 
 class TestTotallyBalanced:
     def test_examples(self):
-        assert is_totally_balanced(BinaryMatrix.from_rows([[1, 1, 0], [0, 1, 1]]))
+        assert is_totally_balanced(parse_matrix("2 3\n110\n011\n"))
         assert is_totally_balanced(closed_neighbourhood_matrix(complete(4)))
         assert not is_totally_balanced(closed_neighbourhood_matrix(cycle(4)))
 
     def test_column_cap(self):
-        rows = [[1] * 17]
         with pytest.raises(CapExceededError):
-            is_totally_balanced(BinaryMatrix.from_rows(rows))
+            is_totally_balanced(BinaryMatrix(1, 17, ((1 << 17) - 1,)))
 
     @given(binary_matrices(max_rows=4, max_cols=4))
     @settings(max_examples=100)

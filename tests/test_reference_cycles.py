@@ -3,7 +3,7 @@ import gc
 from kpacking import (
     closed_neighbourhood_matrix,
     cycle,
-    find_induced_cycle,
+    induced_cycles,
     is_isomorphic,
     perfection_report,
     polytope_vertices,
@@ -19,7 +19,7 @@ def test_searches_leave_no_reference_cycles():
     # to the cyclic garbage collector instead of freeing it on return
     def searches():
         is_isomorphic(web(10, 2), web(10, 2))
-        find_induced_cycle(cycle(9))
+        next(induced_cycles(cycle(9)), None)
         polytope_vertices(closed_neighbourhood_matrix(cycle(5)))
         solve_kpf(cycle(6), 2)
         perfection_report(web(9, 2))
