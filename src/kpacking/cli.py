@@ -427,8 +427,8 @@ def _suite_census(args, out) -> bool:
 # web(2, k) and web(n, k) has n nodes; the other suites walk the census.
 _SUITES = {
     "recognizers": (_census_suite(_recognizer_failure), 7, None, 1, _check_census_size),
-    "polytope": (_census_suite(_polytope_failure), 6, None, 1, _check_census_size),
-    "scaling": (_census_suite(_scaling_failure), 6, [2, 3, 4], 1, _check_census_size),
+    "polytope": (_census_suite(_polytope_failure), 7, None, 1, _check_census_size),
+    "scaling": (_census_suite(_scaling_failure), 7, [2, 3, 4], 1, _check_census_size),
     "webs": (_suite_webs, 12, [1, 2, 3, 4], 2, _check_odd_hole_cap),
     "census": (_suite_census, 7, None, 1, _check_census_size),
 }

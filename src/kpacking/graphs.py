@@ -150,9 +150,6 @@ class BinaryMatrix:
             seen |= row
         return seen != (1 << self.cols) - 1
 
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
 
 # ---------------------------------------------------------------------------
 # basic operations

@@ -460,8 +460,8 @@ def perfection_report(g: Graph) -> PerfectionReport:
     """
     _check_odd_hole_cap(g.n)
     m = closed_neighbourhood_matrix(g)
-    # N[g] is square with ones on its diagonal, so it passes the recognizers'
-    # input checks; its one column intersection graph serves both uses
+    # N[g] has ones on its diagonal, so no zero column; its one column
+    # intersection graph serves both uses
     gq = clique_graph(m)
     by_cliques = _cliques_certificate(m, gq)
     by_pattern = is_extended_clique_node_by_pattern(m)

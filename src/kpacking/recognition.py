@@ -18,6 +18,11 @@ Three verdict paths are provided:
                   and provably equivalent; the structural screen is reported
                   separately because it can disagree (see README).
 
+The two exact paths take any r x c 0/1 matrix, zero rows included: a
+clique-node matrix has one row per maximal clique, so it is rarely square.
+A zero column raises ``ZeroColumnError``, since the column intersection
+graph is undefined there.
+
 Each path returns a :class:`RecognitionCertificate` whose witness can be
 re-checked independently via :func:`recheck_certificate`.  ``CERTIFICATE_KINDS``
 maps each path's name to its recognizer and its recheck.
@@ -31,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapExceededError, ConsistencyError, ParseError, ZeroColumnError
+from .errors import CapExceededError, ParseError, ZeroColumnError
 from .graphs import (
     BinaryMatrix,
     Graph,
@@ -100,12 +105,8 @@ def clique_graph(m: BinaryMatrix) -> Graph:
 
 
 def _check_recognizer_input(m: BinaryMatrix) -> None:
-    if not m.is_square():
-        raise ValueError("recognizers expect a square matrix")
     if m.has_zero_column():
         raise ZeroColumnError("recognizers expect no zero columns")
-    if any(mask == 0 for mask in m.row_masks):
-        raise ValueError("recognizers expect no zero rows")
 
 
 def is_extended_clique_node_by_cliques(m: BinaryMatrix) -> RecognitionCertificate:
@@ -119,17 +120,9 @@ def is_extended_clique_node_by_cliques(m: BinaryMatrix) -> RecognitionCertificat
 
 def _cliques_certificate(m: BinaryMatrix, gq: Graph) -> RecognitionCertificate:
     """``is_extended_clique_node_by_cliques`` on a checked ``m`` whose column
-    intersection graph ``gq`` the caller has already built.
+    intersection graph ``gq`` the caller has already built.  Every row of
+    ``m`` is a clique of ``gq`` by construction.
     """
-    adj = gq.adj
-    for i, mask in enumerate(m.row_masks, start=1):
-        # the closed neighbourhoods of a clique's members all hold it; this
-        # holds by construction of gq, and a failure would mean a bug here
-        common = mask
-        for j in _bits(mask):
-            common &= adj[j - 1] | 1 << (j - 1)
-        if common != mask:
-            raise ConsistencyError(f"row {i} support is not a clique")
     support_row = {}
     for i, mask in enumerate(m.row_masks, start=1):
         support_row.setdefault(mask, i)
@@ -184,11 +177,8 @@ def is_extended_clique_node_by_pattern(m: BinaryMatrix) -> RecognitionCertificat
     # per column j, the rows (bit i for row i + 1) that have a 1 in column j
     holders = [0] * m.cols
     for i, row in enumerate(rows):
-        bit = 1 << i
-        while row:
-            low = row & -row
-            holders[low.bit_length() - 1] |= bit
-            row ^= low
+        for j in _bits(row):
+            holders[j - 1] |= 1 << i
     all_rows = (1 << m.rows) - 1
     best = None
     for a, ra in enumerate(rows):
@@ -212,11 +202,8 @@ def is_extended_clique_node_by_pattern(m: BinaryMatrix) -> RecognitionCertificat
                 common = both & rc
                 # the rows holding every column of common
                 hc = all_rows
-                rest = common
-                while rest:
-                    low = rest & -rest
-                    hc &= holders[low.bit_length() - 1]
-                    rest ^= low
+                for j in _bits(common):
+                    hc &= holders[j - 1]
                 for ca in _bits(za):
                     ha = hc & holders[ca - 1]
                     for cb in _bits(zb):

@@ -122,13 +122,16 @@ def _branch_and_bound(g: Graph, k: int, unit_values: bool) -> SolveResult:
 
     Once a run has counted ``SOLVER_MEMO_THRESHOLD`` children it replays
     repeated subtrees from a memo.  A node at depth i is keyed by
-    ``(i, best_value - total, slack, ahead)`` and the residuals of its
-    frontier rows: the rows that a depth before i enters and a depth from i
-    on enters.  Rows that only later depths enter still hold k, and rows
-    that only earlier depths enter are never read again.  Every choice in
-    the subtree reads only these values, ``best_value`` relative to
+    ``(i, best_value - total, slack)`` and the residuals of its frontier
+    rows: the rows that a depth before i enters and a depth from i on
+    enters.  Rows that only later depths enter still hold k, and rows that
+    only earlier depths enter are never read again.  Every choice in the
+    subtree reads only these values, ``ahead``, ``best_value`` relative to
     ``total``, and the per-solve constants, so two nodes with one key search
-    the same subtree until it first beats the incumbent.  A subtree that
+    the same subtree until it first beats the incumbent.  ``ahead`` is no
+    part of the key because the key fixes it: at a keyed node it is the
+    exact sum of the caps of depths i onward, and those caps read only the
+    frontier rows and rows still holding k.  A subtree that
     left ``best_value`` unchanged is stored with the children it counted,
     and a later node with the same key adds that count and returns: its own
     search would have counted as many children and changed nothing.  A node
@@ -189,7 +192,7 @@ def _branch_and_bound(g: Graph, k: int, unit_values: bool) -> SolveResult:
             if front is None:
                 both = reduce(or_, masks[:i], 0) & reduce(or_, masks[i:], 0)
                 front = frontier[i] = [v for v in range(n) if both >> v & 1]
-            key = (i, best_value - total, slack, ahead, *map(at, front))
+            key = (i, best_value - total, slack, *map(at, front))
             counted = memo.get(key)
             if counted is not None:
                 explored += counted

@@ -163,8 +163,7 @@ def reference_pattern(m: BinaryMatrix) -> RecognitionCertificate:
     per zero-column pair the rows covering the pair too, and it tests every
     third zero column against that list.  Triple order and the minimal
     witness rule are those of ``is_extended_clique_node_by_pattern``; the
-    work cap is left to the library.  Expects a square matrix with no zero
-    row or column.
+    work cap is left to the library.  Expects a matrix with no zero column.
     """
     rows = m.row_masks
     best = None

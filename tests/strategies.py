@@ -55,25 +55,6 @@ def binary_matrices(draw, max_rows=5, max_cols=5):
 
 
 @st.composite
-def square_matrices(draw, max_size=10):
-    """Square binary matrix with no zero row and no zero column.  Rows are
-    drawn either uniformly or with one to three columns; a column left empty
-    is set in a random row.
-    """
-    n = draw(st.integers(1, max_size))
-    short = st.sets(st.integers(0, n - 1), min_size=1, max_size=3)
-    row = st.one_of(st.integers(1, (1 << n) - 1), short.map(lambda s: sum(1 << j for j in s)))
-    masks = [draw(row) for _ in range(n)]
-    covered = 0
-    for m in masks:
-        covered |= m
-    for j in range(n):
-        if not covered >> j & 1:
-            masks[draw(st.integers(0, n - 1))] |= 1 << j
-    return BinaryMatrix(n, n, tuple(masks))
-
-
-@st.composite
 def any_binary_matrices(draw, max_rows=12, max_cols=10):
     """Binary matrix of any shape.  Zero rows and repeated rows are drawn on
     purpose; zero columns can occur too.

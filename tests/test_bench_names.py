@@ -1,11 +1,14 @@
-"""The library names the benchmark looks up by ``getattr``.
+"""The library names the benchmark looks up by ``getattr`` or reads off
+its results.
 
-``bench/tracing.py`` wraps each function in ``TRACED`` by name, and the
-benchmark reads ``KNOWN_CENSUS_COUNTS`` through ``kpacking.cli``; renaming or
-moving one breaks the traced bench run, which the tests do not otherwise run.
+``bench/tracing.py`` wraps each function in ``TRACED`` by name, the
+benchmark reads ``KNOWN_CENSUS_COUNTS`` through ``kpacking.cli``, and its
+checks in ``bench/workloads.py`` read report fields; renaming or moving one
+breaks the bench run, which the tests do not otherwise run.
 """
 
 import ast
+import dataclasses
 import importlib
 import runpy
 from pathlib import Path
@@ -13,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import kpacking.cli
+from kpacking import PackingFunction, PerfectionReport, ScalingReport, SolveResult
 from kpacking.recognition import CERTIFICATE_KINDS
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -44,3 +48,47 @@ def test_bench_certificate_methods_are_the_kind_table():
         and [getattr(t, "id", None) for t in node.targets] == ["CERTIFICATE_METHODS"]
     )
     assert methods == tuple(CERTIFICATE_KINDS)
+
+
+def _own_nodes(func: ast.FunctionDef):
+    """The nodes of ``func``'s own body, not of the functions it defines."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, ast.FunctionDef):
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _result_reads(func: ast.FunctionDef):
+    """The attributes ``func`` reads off a library result: its parameters
+    ``rep`` and ``res`` when unannotated (an annotated one is of a bench
+    type, such as ``CliResult``), and any name bound to an attribute of one,
+    as ``w = res.witness`` is."""
+    results = {a.arg for a in func.args.args if a.arg in ("rep", "res") and a.annotation is None}
+    nodes = list(_own_nodes(func))
+    for node in nodes:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute)
+                and getattr(node.value.value, "id", None) in results):
+            results.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    for node in nodes:
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in results:
+            yield node.attr
+
+
+def test_bench_checks_read_library_fields():
+    """Every attribute a bench check reads off a report, a solve result or its
+    witness is a field or method of a library result class, so renaming or
+    dropping one fails here rather than in the bench run.
+    """
+    tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+    reads = set()
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            reads.update(_result_reads(func))
+    assert {"certificates", "kpf_value", "optimum", "witness", "is_feasible"} <= reads
+    known = set()
+    for cls in (PerfectionReport, ScalingReport, SolveResult, PackingFunction):
+        known.update(field.name for field in dataclasses.fields(cls))
+        known.update(name for name in vars(cls) if callable(getattr(cls, name)))
+    assert sorted(reads - known) == []

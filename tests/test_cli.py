@@ -236,13 +236,44 @@ class TestRecognize:
         code, _, _ = run(capsys, "recognize", "--matrix", str(path), "--method", "structural")
         assert code == 2
 
-    def test_zero_row_matrix_is_refused(self, capsys, tmp_path):
+    def test_zero_row_matrix_is_answered(self, capsys, tmp_path):
+        # a zero row lies in no clique, so it changes neither verdict
         path = tmp_path / "zero-row.matrix"
         path.write_text("3 3\n110\n011\n000\n")
+        payload, _ = run_json(capsys, "recognize", "--matrix", str(path))
+        assert payload["methods"]["cliques"]["verdict"] is True
+        assert payload["methods"]["pattern"]["verdict"] is True
+        assert payload["exact_methods_agree"] is True
+
+    @pytest.mark.parametrize(
+        "rows, verdict",
+        # the clique-node matrix of the path P4, and one whose column graph
+        # has the maximal clique {1, 2, 3} that no row holds
+        [("1100\n0110\n0011\n", True), ("1100\n0110\n1011\n", False)],
+    )
+    def test_non_square_matrix_certificates_recheck(self, capsys, tmp_path, rows, verdict):
+        path = tmp_path / "m.matrix"
+        path.write_text("3 4\n" + rows)
+        payload, _ = run_json(capsys, "recognize", "--matrix", str(path), "--certificate")
+        assert payload["exact_methods_agree"] is True
+        assert list(payload["methods"]) == ["cliques", "pattern"]
+        for method, entry in payload["methods"].items():
+            assert entry["verdict"] is verdict
+            cert = entry["certificate"]
+            if not verdict and method == "cliques":
+                assert cert["uncovered_clique"] == [1, 2, 3]
+            cert_path = tmp_path / f"{method}.json"
+            cert_path.write_text(json.dumps(cert))
+            code, out, _ = run(capsys, "verify-certificate", str(cert_path), "--matrix", str(path))
+            assert (code, json.loads(out)["valid"]) == (0, True)
+
+    def test_zero_column_matrix_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "zero-column.matrix"
+        path.write_text("3 4\n1100\n0100\n1000\n")
         code, out, err = run(capsys, "recognize", "--matrix", str(path))
         assert code == 2
         assert out == ""
-        assert err == "error: recognizers expect no zero rows\n"
+        assert err == "error: recognizers expect no zero columns\n"
 
     def test_oversize_graph_file(self, capsys, tmp_path):
         path = tmp_path / "huge.graph"
@@ -443,8 +474,8 @@ class TestVerify:
             monkeypatch.setattr(module, "perfection_report", counted)
         code, out, _ = run(capsys, "verify", "scaling")
         assert code == 0
-        assert "checked: 143 connected graphs with at most 6 nodes, k in {2,3,4}" in out
-        assert len(calls) == 143
+        assert "checked: 996 connected graphs with at most 7 nodes, k in {2,3,4}" in out
+        assert len(calls) == 996
 
     def test_scaling_counterexample_names_k(self, capsys, monkeypatch):
         monkeypatch.setattr(kpacking.solver, "solve_kpf", short_solve_kpf)

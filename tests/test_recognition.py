@@ -42,7 +42,7 @@ from helpers import (
     row_support,
     square,
 )
-from strategies import binary_matrices, connected_graphs, joined_graphs, square_matrices
+from strategies import any_binary_matrices, binary_matrices, connected_graphs, joined_graphs
 
 
 JSON = st.recursive(
@@ -89,6 +89,9 @@ SHARED_TRIANGLE_SUNS = Graph.from_edges(
 SQUARE_WITH_TWO_HUBS = Graph.from_edges(
     6, cycle(4).edges() + tuple((v, hub) for hub in (5, 6) for v in range(1, hub))
 )
+
+
+EXACT_RECOGNIZERS = (is_extended_clique_node_by_cliques, is_extended_clique_node_by_pattern)
 
 
 def both_verdicts(m):
@@ -167,10 +170,11 @@ class TestExactRecognizers:
         assert m.entry(r1, z3) == 1 and m.entry(r2, z3) == 1 and m.entry(r3, z3) == 0
 
     def test_input_validation(self):
-        with pytest.raises(ValueError):
-            is_extended_clique_node_by_cliques(parse_matrix("1 3\n110\n"))
-        with pytest.raises(ZeroColumnError):
-            is_extended_clique_node_by_pattern(parse_matrix("2 2\n10\n10\n"))
+        # any shape is taken; a zero column is the one refusal
+        for text in ("1 3\n110\n", "2 2\n10\n10\n"):
+            for recognize in EXACT_RECOGNIZERS:
+                with pytest.raises(ZeroColumnError, match="^recognizers expect no zero columns$"):
+                    recognize(parse_matrix(text))
 
     def test_pattern_witness_order_compares_column_masks(self):
         # the minimal witness is chosen on masks, in the order of label tuples
@@ -196,10 +200,21 @@ class TestExactRecognizers:
         monkeypatch.undo()
         assert is_extended_clique_node_by_pattern(m) == answer
 
-    @given(square_matrices(max_size=10))
-    @settings(max_examples=200, deadline=None)
-    def test_pattern_matches_the_reference_pattern(self, m):
-        assert is_extended_clique_node_by_pattern(m) == reference_pattern(m)
+    @given(any_binary_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_exact_methods_agree_on_any_matrix(self, m):
+        # any shape, zero rows included; only a zero column is refused
+        if m.has_zero_column():
+            for recognize in EXACT_RECOGNIZERS:
+                with pytest.raises(ZeroColumnError):
+                    recognize(m)
+            return
+        by_cliques = is_extended_clique_node_by_cliques(m)
+        by_pattern = is_extended_clique_node_by_pattern(m)
+        assert by_pattern == reference_pattern(m)
+        assert by_cliques.verdict == by_pattern.verdict
+        for cert in (by_cliques, by_pattern):
+            assert recheck_certificate(cert.to_payload(), m)
 
     def test_pattern_matches_the_reference_on_the_census(self):
         for n in range(1, 8):
@@ -362,11 +377,9 @@ class TestTotallyBalanced:
     @given(binary_matrices(max_rows=4, max_cols=4))
     @settings(max_examples=100)
     def test_totally_balanced_implies_accepted(self, m):
-        # balanced inputs are always extended clique-node matrices;
-        # square ones with full diagonal support the recognizers directly
-        if m.is_square() and all(m.entry(i, i) == 1 for i in range(1, m.rows + 1)):
-            if is_totally_balanced(m):
-                assert both_verdicts(m) is True
+        # balanced inputs are always extended clique-node matrices
+        if is_totally_balanced(m):
+            assert both_verdicts(m) is True
 
 
 class TestCertificateRecheck:
