@@ -143,7 +143,8 @@ def _fractional_supports(m: BinaryMatrix):
     needs |S| distinct maximal restricted rows, each holding two or more
     classes (one strictly fractional coordinate alone meets no tight row),
     so ``_class_set_systems`` keeps only the class sets that have them,
-    testing all 2**r sets at once.  That rules out |S| < 2, S inside one row
+    testing all 2**r sets at once with reads of the per-width truth tables
+    of ``_class_set_tables``.  That rules out |S| < 2, S inside one row
     (S is then the only maximal row) and |S| above the number of rows.
     The solutions of a system depend only on its maximal rows as masks over
     S's positions, so ``_solve_system`` keeps them in a memo shared by every
@@ -161,29 +162,41 @@ def _fractional_supports(m: BinaryMatrix):
     # distinct rows by popcount descending, so each comes after its supersets
     top: list[int] = []
     for mk in sorted(set(m.row_masks), key=int.bit_count, reverse=True):
-        if not any(mk & y == mk for y in top):
+        for y in top:
+            if mk & y == mk:
+                break
+        else:
             top.append(mk)
-    conflict = [0] * n
     pattern = [0] * n  # the undominated rows holding each column, as a mask
-    for i, mk in enumerate(top):
+    row = 1
+    for mk in top:
         for j in _bits(mk):
-            conflict[j - 1] |= mk & ~_bit(j)
-            pattern[j - 1] |= 1 << i
-    # twin classes in order of their least column, without the zero columns
+            pattern[j - 1] |= row
+        row <<= 1
+    # twin classes in order of their least column, without the zero columns;
+    # members are 0-based columns
     by_pattern: dict[int, list[int]] = {}
-    for j, p in enumerate(pattern, start=1):
+    for j, p in enumerate(pattern):
         if p:
             by_pattern.setdefault(p, []).append(j)
     members = list(by_pattern.values())
-    # each undominated row as the mask of the classes it holds
+    # each undominated row as the mask of the classes it holds, and each
+    # column's conflicts: the union of its class's rows, less itself
     rows = [0] * len(top)
-    for c, p in enumerate(by_pattern):
+    conflict = [0] * n
+    bit = 1
+    for p, cols in by_pattern.items():
+        union = 0
         for i in _bits(p):
-            rows[i - 1] |= 1 << c
+            rows[i - 1] |= bit
+            union |= top[i - 1]
+        for j in cols:
+            conflict[j] = union & ~(1 << j)
+        bit <<= 1
 
     full = (1 << n) - 1
-    # (S's classes, their solutions as (numerators, denominator), free) per
-    # fractional class set
+    # (S's classes as 1-based labels, their solutions as (numerators,
+    # denominator), free) per fractional class set
     fractional: list[tuple[tuple[int, ...], frozenset, int]] = []
     bases = 0
     for smask, maximal in _class_set_systems(rows, len(members)):
@@ -191,48 +204,67 @@ def _fractional_supports(m: BinaryMatrix):
         bases += math.comb(len(maximal), size)
         if bases > SUPPORT_PASS_BASIS_CAP:
             raise CapExceededError(f"support pass capped at {SUPPORT_PASS_BASIS_CAP} bases")
-        classes = tuple(c - 1 for c in _bits(smask))
+        classes = _bits(smask)
         # each maximal row as a mask over S's positions
+        place = {}
+        pos = 1
+        for c in classes:
+            place[c] = pos
+            pos <<= 1
         system = []
         for x in maximal:
             y = 0
-            for pos, c in enumerate(classes):
-                y |= (x >> c & 1) << pos
+            for c in _bits(x):
+                y |= place[c]
             system.append(y)
         solutions = _solve_system(size, tuple(sorted(system)))
         if solutions:
             closure = 0
-            for i, mk in enumerate(top):
-                if rows[i] & smask:
+            for mk, x in zip(top, rows):
+                if x & smask:
                     closure |= mk
             fractional.append((classes, solutions, full & ~closure))
     den = math.lcm(1, *(d for _, sols, _ in fractional for _, d in sols))
     starts = [((0,) * n, 0, full)]
     for classes, sols, free in fractional:
-        choices = list(itertools.product(*(members[c] for c in classes)))
+        choices = list(itertools.product(*[members[c - 1] for c in classes]))
         for nums, d in sols:
-            scaled = [a * (den // d) for a in nums]
+            scale = den // d
+            scaled = [a * scale for a in nums]
             total = sum(scaled)
             for chosen in choices:
                 point = [0] * n
                 for j, a in zip(chosen, scaled):
-                    point[j - 1] = a
+                    point[j] = a
                 starts.append((tuple(point), total, free))
     return conflict, den, starts
 
 
-def _class_set_systems(rows: list[int], r: int):
-    """Yield ``(S, maximal)`` for each set S of two or more of the r classes
-    that has at least |S| maximal restricted rows of two or more classes;
-    ``maximal`` lists those restrictions ``row & S``, each once.  ``rows``
-    are the undominated rows as class masks, none inside another.
+class _LazyTable(dict):
+    """A dict that fills a missing entry with ``fill(key)`` and keeps it."""
 
-    The test runs on all 2**r sets at once, on truth tables: ints with bit S
-    set for each class set S that has some property.  Row i's restriction
-    lies inside row j's on exactly the sets that miss ``rows[i] & ~rows[j]``.
-    It counts on S when it holds two or more classes of S, lies inside no
-    other row's restriction unless the two are equal, and equals no earlier
-    row's restriction.
+    __slots__ = ("fill",)
+
+    def __init__(self, fill) -> None:
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+@functools.cache
+def _class_set_tables(r: int) -> tuple[_LazyTable, _LazyTable, list[int]]:
+    """Truth tables over the 2**r sets of r classes: ints with bit S set
+    for each class set S that has some property.  Returns ``(meets, two,
+    exactly)``: ``meets[x]`` holds the sets that meet the class mask x,
+    ``two[x]`` the sets that hold two or more classes of x, and
+    ``exactly[k]`` the sets of exactly k classes.  The tables of each r are
+    made the first time a pass meets r classes, and ``meets`` and ``two``
+    fill an entry the first time it is read, so they hold only the masks
+    that passes have read.  r is at most ``VERTEX_ENUMERATION_COLUMN_CAP``,
+    since the support pass refuses wider matrices.
     """
     everything = (1 << (1 << r)) - 1
     # holding[c]: the sets holding class c, the upper 2**c of each block of
@@ -241,47 +273,68 @@ def _class_set_systems(rows: list[int], r: int):
         everything // ((1 << (2 << c)) - 1) * (((1 << (1 << c)) - 1) << (1 << c))
         for c in range(r)
     ]
-    # meeting[i][j]: the sets that meet rows[i] outside rows[j]
-    meeting = []
-    for mi in rows:
-        line = []
-        for mj in rows:
-            sets = 0
-            for c in _bits(mi & ~mj):
-                sets |= holding[c - 1]
-            line.append(sets)
-        meeting.append(line)
-    # at_least[t]: the sets on which at least t restrictions count;
-    # counted[i]: the sets on which row i's restriction counts
-    at_least = [everything] + [0] * len(rows)
-    counted = []
-    for i, mi in enumerate(rows):
-        # the sets holding at least one and at least two classes of row i,
-        # then the latter cut to those where row i's restriction counts
-        one = two = 0
-        for c in _bits(mi):
-            two |= one & holding[c - 1]
+
+    def meets(x: int) -> int:
+        sets = 0
+        for c in _bits(x):
+            sets |= holding[c - 1]
+        return sets
+
+    def two(x: int) -> int:
+        one = sets = 0
+        for c in _bits(x):
+            sets |= one & holding[c - 1]
             one |= holding[c - 1]
-        for j in range(i):
-            two &= meeting[i][j]
-        for j in range(i + 1, len(rows)):
-            two &= meeting[i][j] | ~meeting[j][i]
-        counted.append(two)
-        for t in range(i + 1, 0, -1):
-            at_least[t] |= at_least[t - 1] & two
-    # larger[k]: the sets of k or more classes
-    larger = [everything] + [0] * (r + 1)
-    for c, sets in enumerate(holding):
-        for k in range(c + 1, 0, -1):
-            larger[k] |= larger[k - 1] & sets
+        return sets
+
+    exactly = [0] * (r + 1)
+    for s in range(1 << r):
+        exactly[s.bit_count()] |= 1 << s
+    return _LazyTable(meets), _LazyTable(two), exactly
+
+
+def _class_set_systems(rows: list[int], r: int):
+    """Yield ``(S, maximal)`` for each set S of two or more of the r classes
+    that has at least |S| maximal restricted rows of two or more classes;
+    ``maximal`` lists those restrictions ``row & S``, each once.  ``rows``
+    are the undominated rows as class masks, none inside another.
+
+    The test runs on all 2**r sets at once, on the truth tables of
+    ``_class_set_tables(r)``.  Row i's restriction lies inside row j's on
+    exactly the sets that miss ``rows[i] & ~rows[j]``, one read of
+    ``meets``.  It counts on S when it holds two or more classes of S (one
+    read of ``two``), lies inside no other row's restriction unless the two
+    are equal, and equals no earlier row's restriction.
+    """
+    meets, two_of, exactly = _class_set_tables(r)
+    # counted[i]: the sets on which row i's restriction counts
+    counted = [two_of[mi] for mi in rows]
+    for i, mi in enumerate(rows):
+        j = i + 1
+        for mj in rows[j:]:
+            # row i's restriction leaves row j's on ``out``, and row j's
+            # leaves row i's on ``back``; equal restrictions count once, for
+            # the earlier row
+            out = meets[mi & ~mj]
+            back = meets[mj & ~mi]
+            counted[i] &= out | ~back
+            counted[j] &= back
+            j += 1
+    # at_least[t]: the sets on which at least t restrictions count, for the
+    # t that a kept set can need
+    most = min(len(rows), r)
+    at_least = [(1 << (1 << r)) - 1] + [0] * most
+    for i, sets in enumerate(counted):
+        for t in range(min(i + 1, most), 0, -1):
+            at_least[t] |= at_least[t - 1] & sets
     keep = 0
-    for k in range(2, min(len(rows), r) + 1):
-        keep |= larger[k] & ~larger[k + 1] & at_least[k]
+    for k in range(2, most + 1):
+        keep |= exactly[k] & at_least[k]
     while keep:
         low = keep & -keep
         keep ^= low
         smask = low.bit_length() - 1
-        yield smask, [mk & smask for mk, on in zip(rows, counted) if on >> smask & 1]
+        yield smask, [mk & smask for mk, on in zip(rows, counted) if on & low]
 
 
 @functools.lru_cache(maxsize=SOLVED_SYSTEM_MEMO_SIZE)
@@ -319,7 +372,8 @@ def polytope_vertices(m: BinaryMatrix) -> tuple[tuple[Fraction, ...], ...]:
     of its free columns is one vertex.  The vertices are listed and sorted as
     integer tuples over one common denominator; the ``Fraction`` coordinates
     are made after the sort.  Only ``perfection --emit-vertices`` lists them:
-    the verdict, the report and the relaxation read ``_polytope_facts``.
+    the verdict and the report read ``_polytope_facts``, and the relaxation
+    reads ``_relaxation_vertex``.
 
     Raises ``CapExceededError`` above ``VERTEX_ENUMERATION_COLUMN_CAP``
     columns.
@@ -346,56 +400,116 @@ def polytope_vertices(m: BinaryMatrix) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(map(coord.__getitem__, v)) for v in found)
 
 
+def _row_disjoint_counter(conflict: list[int]):
+    """rho: column mask S -> the most pairwise row-disjoint columns inside
+    S, the independence number of the conflict graph on S, where
+    ``conflict[j - 1]`` masks the columns that share a row with column j.
+
+    Columns with one closed conflict mask are twins: they conflict with each
+    other and with the same other columns, so S holds at most one of them
+    and any one will do.  Two columns of different classes conflict exactly
+    when their classes do.  A column that conflicts with nothing (a zero
+    column, or one alone in every row holding it) counts once in every S
+    holding it.  So rho[S] is the class-level rho of the classes S meets,
+    read from a table over the 2**r class masks, plus its lone columns.
+    """
+    lone = 0
+    index: dict[int, int] = {}
+    of_column = [0] * len(conflict)  # each column's class as a one-bit mask
+    for j, mk in enumerate(conflict):
+        if mk:
+            of_column[j] = 1 << index.setdefault(mk | 1 << j, len(index))
+        else:
+            lone |= 1 << j
+    # the classes each class conflicts with: those of its closed conflict mask
+    near = [0] * len(index)
+    for closed, c in index.items():
+        for j in _bits(closed):
+            near[c] |= of_column[j - 1]
+    # doubled one class c at a time: for a mask s of earlier classes,
+    # rho[s with c] = max(rho[s], 1 + rho[s without c's conflicts]); rho is
+    # monotone, so that is rho[s] plus one exactly when the two are equal
+    table = [0]
+    for mk in near:
+        keep = ~mk
+        table += [t + (t == table[s & keep]) for s, t in enumerate(table)]
+
+    def rho(mask: int) -> int:
+        classes = 0
+        for j in _bits(mask & ~lone):
+            classes |= of_column[j - 1]
+        return table[classes] + (mask & lone).bit_count()
+
+    return rho
+
+
+def _largest_sum(conflict: list[int], den: int, starts: list):
+    """(the largest coordinate sum as a numerator over ``den``, rho) over
+    the vertices grown from ``starts``: with rho[S] the most pairwise
+    row-disjoint columns inside S, a start reaches at most its sum plus
+    rho[free] ones, and the largest sum is the best of these.  rho is read
+    once per distinct free mask.
+    """
+    rho = _row_disjoint_counter(conflict)
+    ones = {free: rho(free) for free in {free for _, _, free in starts}}
+    return max(total + ones[free] * den for _, total, free in starts), rho
+
+
 def _polytope_facts(
     m: BinaryMatrix,
-) -> tuple[tuple[Fraction, ...] | None, Fraction, tuple[Fraction, ...]]:
-    """(first fractional vertex or None, largest coordinate sum, first vertex
-    with that sum) of {x in [0,1]^n : Mx <= 1}, in sorted vertex order and
-    read from the starts of ``_fractional_supports`` without listing any
-    vertex.
+) -> tuple[tuple[Fraction, ...] | None, Fraction]:
+    """(first fractional vertex or None, largest coordinate sum) of
+    {x in [0,1]^n : Mx <= 1}, in sorted vertex order and read from the
+    starts of ``_fractional_supports`` without listing any vertex.
 
     A vertex with ones O is coordinatewise at least its start, so the least
-    fractional start is the first fractional vertex.  With rho[S] the most
-    pairwise row-disjoint columns inside S, a start reaches at most its sum
-    plus rho[free] ones, and the largest sum is the best of these.  Among
-    the starts that reach it, each is completed to its least maximizing
-    vertex, column by column: a free column stays 0 while the rest of the
-    free columns still hold rho[free] ones, and otherwise becomes 1 and
-    takes its conflicts out of the free columns.  The least completion is
-    the relaxation witness.
+    fractional start is the first fractional vertex.  The largest sum comes
+    from ``_largest_sum``; the vertex that reaches it is left to
+    ``_relaxation_vertex``.
     """
     conflict, den, starts = _fractional_supports(m)
-    # rho over every column mask, doubled one column j at a time: for a mask s
-    # of earlier columns, rho[s with j] = max(rho[s], 1 + rho[s without j's
-    # conflicts]); rho is monotone, so that is rho[s] plus one exactly when the
-    # two rho values are equal
-    rho = [0]
-    for mk in conflict:
-        rho += [r + (r == rho[s & ~mk]) for s, r in enumerate(rho)]
-    best = max(total + rho[free] * den for _, total, free in starts)
+    unit = Fraction(_largest_sum(conflict, den, starts)[0], den)
+    if len(starts) == 1:
+        return None, unit
+    # equal points share their sum and free columns, so the least start
+    # holds the least point
+    first = min(starts[1:])[0]
+    # one Fraction per distinct numerator
+    coord = {a: Fraction(a, den) for a in set(first)}
+    return tuple(map(coord.__getitem__, first)), unit
+
+
+def _relaxation_vertex(m: BinaryMatrix) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """(largest coordinate sum, first vertex with that sum) of
+    {x in [0,1]^n : Mx <= 1} in sorted vertex order, read from the starts of
+    ``_fractional_supports`` without listing any vertex.
+
+    Among the starts that reach the largest sum (``_largest_sum``), each is
+    completed to its least maximizing vertex, column by column: a free
+    column stays 0 while the rest of the free columns still hold rho[free]
+    ones, and otherwise becomes 1 and takes its conflicts out of the free
+    columns.  The least completion is the relaxation witness.
+    """
+    conflict, den, starts = _fractional_supports(m)
+    best, rho = _largest_sum(conflict, den, starts)
     witness = None
     for point, total, free in starts:
-        need = rho[free]
+        need = rho(free)
         if total + need * den != best:
             continue
         point = list(point)
         for j in _bits(free):
             bit = _bit(j)
-            if free & bit and rho[free & ~bit] < need:
+            if free & bit and rho(free & ~bit) < need:
                 point[j - 1] = den
                 need -= 1
                 free &= ~conflict[j - 1]
             free &= ~bit
         if witness is None or point < witness:
             witness = point
-    first = min((point for point, _, _ in starts[1:]), default=None)
-    # one Fraction per distinct numerator, shared by both points
-    coord = {a: Fraction(a, den) for a in {*witness, *(first or ())}}
-    return (
-        None if first is None else tuple(map(coord.__getitem__, first)),
-        Fraction(best, den),
-        tuple(map(coord.__getitem__, witness)),
-    )
+    # one Fraction per distinct numerator
+    coord = {a: Fraction(a, den) for a in set(witness)}
+    return Fraction(best, den), tuple(map(coord.__getitem__, witness))
 
 
 def is_perfect_matrix(m: BinaryMatrix):
@@ -427,8 +541,8 @@ class PerfectionReport:
     vertices, the exact optimum of the linear relaxation at k = 1 (the
     optimum at k is k times it), taken from the support solutions and a table
     of the largest one-sets.  All three come from ``_polytope_facts`` without
-    listing any vertex, as does ``lp_relaxation``, and are None when the
-    graph exceeds the vertex enumeration cap.  The structural screen's
+    listing any vertex, and are None when the graph exceeds the vertex
+    enumeration cap.  The structural screen's
     verdict is reported but never enforced; it is known to disagree on some
     graphs (first at 6 nodes).
     """
@@ -480,7 +594,7 @@ def perfection_report(g: Graph) -> PerfectionReport:
     fractional = None
     unit_relaxation = None
     if g.n <= VERTEX_ENUMERATION_COLUMN_CAP:
-        fractional, unit_relaxation, _ = _polytope_facts(m)
+        fractional, unit_relaxation = _polytope_facts(m)
         matrix_verdict = fractional is None
         if matrix_verdict != member:
             raise ConsistencyError(

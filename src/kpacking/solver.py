@@ -23,7 +23,7 @@ from .graphs import Graph, _bits, closed_neighbourhood_matrix
 from .perfection import (
     ODD_HOLE_NODE_CAP,
     PerfectionReport,
-    _polytope_facts,
+    _relaxation_vertex,
     perfection_report,
 )
 
@@ -136,9 +136,12 @@ def _branch_and_bound(g: Graph, k: int, unit_values: bool) -> SolveResult:
     and a later node with the same key adds that count and returns: its own
     search would have counted as many children and changed nothing.  A node
     that got ``ahead`` None always beats the incumbent, so it is never
-    keyed.  The memo stops taking entries at ``SOLVER_MEMO_ENTRIES``; which
-    subtrees it holds changes the time of a run, never its result or its
-    count.
+    keyed.  The memo stops taking entries at ``SOLVER_MEMO_ENTRIES``.  A
+    memo that is full and has never replayed a subtree is dropped, and the
+    run keys no further node: a search that repeats nothing in its first
+    ``SOLVER_MEMO_ENTRIES`` stored subtrees would otherwise pay for a key
+    at every node.  Which subtrees the memo holds, and whether it is kept,
+    changes the time of a run, never its result or its count.
 
     Once the count passes ``SOLVER_EXPLORED_CAP`` the search raises
     ``CapExceededError``.  The search tree does not depend on the count, and
@@ -169,8 +172,10 @@ def _branch_and_bound(g: Graph, k: int, unit_values: bool) -> SolveResult:
     # per depth i, once the memo first keys a node there: its frontier rows
     frontier: list[list[int] | None] = [None] * n
     # subtree key -> the children it counted; None until the count first
-    # passes SOLVER_MEMO_THRESHOLD
+    # passes SOLVER_MEMO_THRESHOLD, and again once it is full and has never
+    # replayed a subtree
     memo: dict[tuple[int, ...], int] | None = None
+    replayed = False
     limit = min(SOLVER_MEMO_THRESHOLD, explored_cap)
     residual = [k] * n
     at = residual.__getitem__
@@ -180,7 +185,7 @@ def _branch_and_bound(g: Graph, k: int, unit_values: bool) -> SolveResult:
     explored = 0
 
     def dfs(i: int, total: int, slack: int, ahead: int | None) -> None:
-        nonlocal best_value, best, explored, memo, limit
+        nonlocal best_value, best, explored, memo, limit, replayed
         if i == n:
             if total > best_value:
                 best_value = total
@@ -195,6 +200,7 @@ def _branch_and_bound(g: Graph, k: int, unit_values: bool) -> SolveResult:
             key = (i, best_value - total, slack, *map(at, front))
             counted = memo.get(key)
             if counted is not None:
+                replayed = True
                 explored += counted
                 if explored > explored_cap:
                     raise CapExceededError(over)
@@ -267,8 +273,14 @@ def _branch_and_bound(g: Graph, k: int, unit_values: bool) -> SolveResult:
             if t:
                 for v in row:
                     residual[v] += t
-        if key is not None and best_value == incumbent and len(memo) < SOLVER_MEMO_ENTRIES:
-            memo[key] = explored - start
+        if key is not None and best_value == incumbent and memo is not None:
+            if len(memo) < SOLVER_MEMO_ENTRIES:
+                memo[key] = explored - start
+            elif not replayed:
+                # full and never replayed: this search does not repeat its
+                # subtrees, so stop keying; limit stays past the count, so
+                # no new memo starts
+                memo = None
 
     dfs(0, 0, n * k, n * top)
     # dfs holds itself through its closure; dropping the name frees the
@@ -354,10 +366,10 @@ def lp_relaxation(g: Graph, k: int):
     """Exact optimum of the relaxation: k times the best coordinate sum over
     the vertices of the unit polytope of N[g].  Returns (value, unit vertex),
     the vertex being the first with the best sum in sorted vertex order.
-    Both come from ``_polytope_facts``; no vertex is listed.
+    Both come from ``_relaxation_vertex``; no vertex is listed.
     """
     _check_k(k)
-    _, unit, point = _polytope_facts(closed_neighbourhood_matrix(g))
+    unit, point = _relaxation_vertex(closed_neighbourhood_matrix(g))
     return k * unit, point
 
 

@@ -338,6 +338,24 @@ def reference_class_set_systems(rows: list[int], r: int) -> list[tuple[int, list
     return out
 
 
+def reference_row_disjoint_columns(m: BinaryMatrix, mask: int) -> int:
+    """The most columns inside ``mask`` (bit j - 1 for column j) that
+    pairwise share no row of ``m``: the independence number of the conflict
+    graph on ``mask``, found by trying every subset from the largest down.
+    A zero column shares no row with any column.
+    """
+    cols = [j for j in range(m.cols) if mask >> j & 1]
+    for size in range(len(cols), 0, -1):
+        for pick in itertools.combinations(cols, size):
+            if all(
+                not (mk >> a & 1 and mk >> b & 1)
+                for a, b in itertools.combinations(pick, 2)
+                for mk in m.row_masks
+            ):
+                return size
+    return 0
+
+
 def reference_fractional_supports(m: BinaryMatrix):
     """``perfection._fractional_supports`` with no skip rule and no shared
     solve: every one of the 2**n supports scans every distinct row, and each

@@ -6,7 +6,10 @@ digest before the maximal clique search got its work budget, the relaxation
 digest before ``lp_relaxation`` stopped listing vertices, and the report
 digest before the report's mask walks, derived graphs and support-pass
 filter were made cheaper, each by running this module's ``census_digests``
-on the previous implementation:
+on the previous implementation.  The relaxation, vertex and report digests
+also gated the support pass's move to per-width truth tables and to a rho
+table over twin classes, with the relaxation witness computed only for
+``lp_relaxation``; they passed unchanged.  The digests are recomputed with:
 
     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \\
         import test_census_digests as t; print(t.census_digests())"

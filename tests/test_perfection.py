@@ -1,8 +1,10 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kpacking.perfection
 from kpacking import (
@@ -32,6 +34,7 @@ from helpers import (
     reference_class_set_systems,
     reference_fractional_supports,
     reference_polytope_facts,
+    reference_row_disjoint_columns,
     tight_constraint_rank,
 )
 from strategies import (
@@ -188,8 +191,16 @@ class TestPerfectMatrix:
 
 
 class TestPolytopeFacts:
-    """The polytope facts read from the fractional supports alone, against
-    the same facts read off the full sorted vertex list."""
+    """The polytope facts and the relaxation vertex read from the fractional
+    supports alone, against the same facts read off the full sorted vertex
+    list."""
+
+    @staticmethod
+    def support_facts(m):
+        return (
+            *kpacking.perfection._polytope_facts(m),
+            kpacking.perfection._relaxation_vertex(m)[1],
+        )
 
     @staticmethod
     def report_facts(g):
@@ -202,7 +213,7 @@ class TestPolytopeFacts:
         for h in (g, complement(g)):
             m = closed_neighbourhood_matrix(h)
             expected = reference_polytope_facts(m)
-            assert kpacking.perfection._polytope_facts(m) == expected[1:]
+            assert self.support_facts(m) == expected[1:]
             assert self.report_facts(h) == expected[:3]
             assert is_perfect_matrix(m) == expected[:2]
 
@@ -210,7 +221,8 @@ class TestPolytopeFacts:
     @settings(max_examples=100, deadline=None)
     def test_matrices_of_any_shape(self, m):
         verdict, fractional, unit, best = reference_polytope_facts(m)
-        assert kpacking.perfection._polytope_facts(m) == (fractional, unit, best)
+        assert self.support_facts(m) == (fractional, unit, best)
+        assert kpacking.perfection._relaxation_vertex(m) == (unit, best)
         if m.has_zero_column():
             with pytest.raises(ZeroColumnError):
                 is_perfect_matrix(m)
@@ -222,7 +234,7 @@ class TestPolytopeFacts:
             for g in enumerate_connected_graphs(n):
                 m = closed_neighbourhood_matrix(g)
                 expected = reference_polytope_facts(m)
-                facts = kpacking.perfection._polytope_facts(m)
+                facts = self.support_facts(m)
                 assert facts == expected[1:], g.edges()
                 assert self.report_facts(g) == expected[:3], g.edges()
 
@@ -312,6 +324,90 @@ class TestClassSetFilter:
     )
     def test_edge_cases(self, rows, r):
         self.assert_same_sets(rows, r)
+
+    @staticmethod
+    def seeded_antichain(seed, r):
+        """Twelve random rows over r classes cut to an antichain, as the
+        support pass's undominated rows are."""
+        rng = random.Random(seed)
+        rows = []
+        masks = {rng.randrange(1, 1 << r) for _ in range(12)}
+        for mk in sorted(masks, key=int.bit_count, reverse=True):
+            if not any(mk & y == mk for y in rows):
+                rows.append(mk)
+        rng.shuffle(rows)
+        return rows
+
+    @pytest.mark.parametrize(
+        "rows, r",
+        [
+            # N[C9], N[C10] and N[web(10, 2)]: every column is its own class
+            # and every row is undominated, so the rows are the class masks
+            (list(closed_neighbourhood_matrix(cycle(9)).row_masks), 9),
+            (list(closed_neighbourhood_matrix(cycle(10)).row_masks), 10),
+            (list(closed_neighbourhood_matrix(web(10, 2)).row_masks), 10),
+            (seeded_antichain(9, 9), 9),
+            (seeded_antichain(10, 10), 10),
+        ],
+        ids=["cycle9", "cycle10", "web10_2", "antichain9", "antichain10"],
+    )
+    def test_nine_and_ten_classes(self, rows, r):
+        # the Hypothesis draw above stops at eight classes
+        self.assert_same_sets(rows, r)
+
+    @pytest.mark.parametrize("r", range(7))
+    def test_tables_against_their_definitions(self, r):
+        meets, two, exactly = kpacking.perfection._class_set_tables(r)
+        for x in range(1 << r):
+            assert meets[x] == sum(1 << s for s in range(1 << r) if s & x)
+            assert two[x] == sum(1 << s for s in range(1 << r) if (s & x).bit_count() >= 2)
+        for k in range(r + 1):
+            assert exactly[k] == sum(1 << s for s in range(1 << r) if s.bit_count() == k)
+
+    def test_entries_are_filled_when_first_read(self):
+        kpacking.perfection._class_set_tables.cache_clear()
+        meets, two, _ = kpacking.perfection._class_set_tables(10)
+        assert len(meets) == len(two) == 0
+        rows = list(closed_neighbourhood_matrix(cycle(10)).row_masks)
+        list(kpacking.perfection._class_set_systems(rows, 10))
+        # one two entry per row, one meets entry per ordered pair of rows
+        assert len(two) == len(rows)
+        assert len(meets) == len({a & ~b for a in rows for b in rows if a != b})
+
+
+class TestRowDisjointCounter:
+    """rho over any column mask, read from the table over twin classes,
+    against a brute-force independence number of the conflict graph."""
+
+    @staticmethod
+    def assert_same_counts(m, masks):
+        conflict = kpacking.perfection._fractional_supports(m)[0]
+        rho = kpacking.perfection._row_disjoint_counter(conflict)
+        for mask in masks:
+            assert rho(mask) == reference_row_disjoint_columns(m, mask), (m, mask)
+
+    @given(pruning_matrices(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_twins_dominated_rows_and_zero_columns(self, m, data):
+        full = (1 << m.cols) - 1
+        masks = data.draw(st.lists(st.integers(0, full), max_size=6))
+        self.assert_same_counts(m, [full, *masks])
+
+    @given(twin_blowups(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_twin_classes_of_up_to_three_columns(self, m, data):
+        full = (1 << m.cols) - 1
+        masks = data.draw(st.lists(st.integers(0, full), max_size=6))
+        self.assert_same_counts(m, [full, *masks])
+
+    def test_zero_and_lone_columns_count_once_each(self):
+        # columns 1 and 2 are zero columns, column 3 is alone in its row,
+        # and columns 4 and 5 share the last row
+        m = BinaryMatrix(2, 5, (0b00100, 0b11000))
+        self.assert_same_counts(m, range(1 << 5))
+        assert kpacking.perfection._row_disjoint_counter(
+            kpacking.perfection._fractional_supports(m)[0]
+        )(0b11111) == 4
 
 
 class TestSolvedSystemMemo:

@@ -241,6 +241,9 @@ def test_search_matches_the_reference_search(g, dense, k):
 @example(
     Graph.from_edges(7, [(1, 2), (1, 3), (1, 4), (2, 5), (5, 6), (5, 7), (6, 7)]), False, 2
 )
+# a search that replays nothing: solve_kpf keys 471 nodes with no hit, so a
+# memo of 0 or 1 entries fills, is dropped, and the run keys no further node
+@example(cycle(5), False, 20)
 @settings(max_examples=120, deadline=None)
 def test_memo_replays_the_reference_search(entries, g, dense, k):
     # With the memo on from the first node, every subtree that found no
