@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -151,9 +152,11 @@ def _fractional_supports(m: BinaryMatrix):
     call in the process, bounded by ``SOLVED_SYSTEM_MEMO_SIZE`` systems.
 
     Raises ``CapExceededError`` above ``VERTEX_ENUMERATION_COLUMN_CAP``
-    columns, since the table can have an entry for each of the 2**n supports,
-    and once the bases of the systems met so far, C(|maximal|, |S|) for each,
-    add up to more than ``SUPPORT_PASS_BASIS_CAP``.
+    columns, which bounds the per-width truth tables and the rho table (one
+    bit or entry per set of twin classes, at most 2**n) and
+    ``polytope_vertices``' listing; and once the bases of the systems met
+    so far, C(|maximal|, |S|) for each, add up to more than
+    ``SUPPORT_PASS_BASIS_CAP``.
     """
     cap = VERTEX_ENUMERATION_COLUMN_CAP
     if m.cols > cap:
@@ -240,31 +243,17 @@ def _fractional_supports(m: BinaryMatrix):
     return conflict, den, starts
 
 
-class _LazyTable(dict):
-    """A dict that fills a missing entry with ``fill(key)`` and keeps it."""
-
-    __slots__ = ("fill",)
-
-    def __init__(self, fill) -> None:
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
-
-
 @functools.cache
-def _class_set_tables(r: int) -> tuple[_LazyTable, _LazyTable, list[int]]:
+def _class_set_tables(r: int) -> tuple[Callable[[int], int], Callable[[int], int], list[int]]:
     """Truth tables over the 2**r sets of r classes: ints with bit S set
     for each class set S that has some property.  Returns ``(meets, two,
-    exactly)``: ``meets[x]`` holds the sets that meet the class mask x,
-    ``two[x]`` the sets that hold two or more classes of x, and
+    exactly)``: ``meets(x)`` holds the sets that meet the class mask x,
+    ``two(x)`` the sets that hold two or more classes of x, and
     ``exactly[k]`` the sets of exactly k classes.  The tables of each r are
-    made the first time a pass meets r classes, and ``meets`` and ``two``
-    fill an entry the first time it is read, so they hold only the masks
-    that passes have read.  r is at most ``VERTEX_ENUMERATION_COLUMN_CAP``,
-    since the support pass refuses wider matrices.
+    made the first time a pass meets r classes; ``meets`` and ``two`` are
+    ``functools.cache``d functions, so they keep only the masks that passes
+    have read.  r is at most ``VERTEX_ENUMERATION_COLUMN_CAP``, since the
+    support pass refuses wider matrices.
     """
     everything = (1 << (1 << r)) - 1
     # holding[c]: the sets holding class c, the upper 2**c of each block of
@@ -290,7 +279,7 @@ def _class_set_tables(r: int) -> tuple[_LazyTable, _LazyTable, list[int]]:
     exactly = [0] * (r + 1)
     for s in range(1 << r):
         exactly[s.bit_count()] |= 1 << s
-    return _LazyTable(meets), _LazyTable(two), exactly
+    return functools.cache(meets), functools.cache(two), exactly
 
 
 def _class_set_systems(rows: list[int], r: int):
@@ -308,15 +297,15 @@ def _class_set_systems(rows: list[int], r: int):
     """
     meets, two_of, exactly = _class_set_tables(r)
     # counted[i]: the sets on which row i's restriction counts
-    counted = [two_of[mi] for mi in rows]
+    counted = [two_of(mi) for mi in rows]
     for i, mi in enumerate(rows):
         j = i + 1
         for mj in rows[j:]:
             # row i's restriction leaves row j's on ``out``, and row j's
             # leaves row i's on ``back``; equal restrictions count once, for
             # the earlier row
-            out = meets[mi & ~mj]
-            back = meets[mj & ~mi]
+            out = meets(mi & ~mj)
+            back = meets(mj & ~mi)
             counted[i] &= out | ~back
             counted[j] &= back
             j += 1
@@ -376,7 +365,8 @@ def polytope_vertices(m: BinaryMatrix) -> tuple[tuple[Fraction, ...], ...]:
     reads ``_relaxation_vertex``.
 
     Raises ``CapExceededError`` above ``VERTEX_ENUMERATION_COLUMN_CAP``
-    columns.
+    columns and once the support pass has charged more than
+    ``SUPPORT_PASS_BASIS_CAP`` bases.
     """
     conflict, den, starts = _fractional_supports(m)
     found: list[tuple[int, ...]] = []

@@ -2,9 +2,10 @@
 its results.
 
 ``bench/tracing.py`` wraps each function in ``TRACED`` by name, the
-benchmark reads ``KNOWN_CENSUS_COUNTS`` through ``kpacking.cli``, and its
-checks in ``bench/workloads.py`` read report fields; renaming or moving one
-breaks the bench run, which the tests do not otherwise run.
+benchmark reads ``KNOWN_CENSUS_COUNTS`` through ``kpacking.cli``, it calls
+the package's exports as ``kp.<name>``, and its checks in
+``bench/workloads.py`` read report fields; renaming or moving one breaks
+the bench run, which the tests do not otherwise run.
 """
 
 import ast
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import kpacking
 import kpacking.cli
 from kpacking import PackingFunction, PerfectionReport, ScalingReport, SolveResult
 from kpacking.recognition import CERTIFICATE_KINDS
@@ -48,6 +50,47 @@ def test_bench_certificate_methods_are_the_kind_table():
         and [getattr(t, "id", None) for t in node.targets] == ["CERTIFICATE_METHODS"]
     )
     assert methods == tuple(CERTIFICATE_KINDS)
+
+
+def _package_lookups():
+    """(the attributes read on ``kp``, the ``SOLVERS`` values, the names
+    imported from ``kpacking.*`` as ``(module, name)``) in the bench scripts
+    that call the library."""
+    attrs, solvers, imported = set(), set(), set()
+    for script in ("workloads.py", "make_references.py"):
+        tree = ast.parse((BENCH / script).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "kp":
+                attrs.add(node.attr)
+            elif (isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets] == ["SOLVERS"]):
+                solvers.update(ast.literal_eval(node.value).values())
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("kpacking"):
+                imported.update((node.module, alias.name) for alias in node.names)
+    return attrs, solvers, imported
+
+
+def test_bench_package_lookups_resolve():
+    """Every ``kp.<name>`` the bench reads, every solver it fetches with
+    ``getattr(kp, SOLVERS[...])`` and every name it imports from a
+    ``kpacking`` module exists, so dropping an export from
+    ``kpacking/__init__.py`` fails here rather than in the bench run.
+    """
+    attrs, solvers, imported = _package_lookups()
+    assert {
+        "Graph", "check_scaling_identity", "clique_cycle_family", "cycle",
+        "enumerate_connected_graphs", "is_connected", "perfection_report",
+        "solve_kpf_bruteforce", "solve_limited_bruteforce", "web", "wheel",
+    } <= attrs
+    assert solvers == {"solve_kpf", "solve_limited_packing"}
+    assert {name for _, name in imported} >= {"KNOWN_CENSUS_COUNTS", "BRUTEFORCE_STATE_CAP"}
+    assert sorted(name for name in attrs if not hasattr(kpacking, name)) == []
+    assert sorted(name for name in solvers if not callable(getattr(kpacking, name, None))) == []
+    missing = [
+        (module, name) for module, name in imported
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []
 
 
 def _own_nodes(func: ast.FunctionDef):

@@ -86,3 +86,33 @@ def test_scaling_holds_exactly_when_the_relaxation_is_integral(census_facts):
             # the relaxation's vertex scaled by D is an integer packing
             assert optima[den] == den * rho_f, list(g.edges())
     assert scaling == 733
+
+
+def test_every_optimum_lies_in_the_bracket_of_its_residue(census_facts):
+    # L_D = D * rho_f, and L_k <= k * rho_f; with superadditivity that puts
+    # L_{r + jD} between L_r + jD * rho_f and floor(r * rho_f) + jD * rho_f
+    graphs = residues = short = checks = 0
+    largest = 0
+    for g, rho, rho_f, _, _, den in census_facts:
+        if g.n > 6 or rho == rho_f:
+            continue
+        graphs += 1
+        largest = max(largest, den)
+        optima = [0] + [solve_kpf(g, k).optimum for k in range(1, 2 * den + 1)]
+        assert optima[1] == rho
+        for k in range(1, 2 * den + 1):
+            j, r = divmod(k, den)
+            step = j * den * rho_f
+            assert optima[r] + step <= optima[k] <= math.floor(r * rho_f) + step, (
+                list(g.edges()),
+                k,
+            )
+            checks += 1
+            for a in range(1, k):
+                assert optima[k] >= optima[a] + optima[k - a], (list(g.edges()), a, k)
+        for r in range(1, den):
+            residues += 1
+            gap = math.floor(r * rho_f) - optima[r]
+            assert gap in (0, 1), (list(g.edges()), r)
+            short += gap
+    assert (graphs, largest, residues, short, checks) == (31, 7, 68, 2, 198)

@@ -359,20 +359,20 @@ class TestClassSetFilter:
     def test_tables_against_their_definitions(self, r):
         meets, two, exactly = kpacking.perfection._class_set_tables(r)
         for x in range(1 << r):
-            assert meets[x] == sum(1 << s for s in range(1 << r) if s & x)
-            assert two[x] == sum(1 << s for s in range(1 << r) if (s & x).bit_count() >= 2)
+            assert meets(x) == sum(1 << s for s in range(1 << r) if s & x)
+            assert two(x) == sum(1 << s for s in range(1 << r) if (s & x).bit_count() >= 2)
         for k in range(r + 1):
             assert exactly[k] == sum(1 << s for s in range(1 << r) if s.bit_count() == k)
 
     def test_entries_are_filled_when_first_read(self):
         kpacking.perfection._class_set_tables.cache_clear()
         meets, two, _ = kpacking.perfection._class_set_tables(10)
-        assert len(meets) == len(two) == 0
+        assert meets.cache_info().currsize == two.cache_info().currsize == 0
         rows = list(closed_neighbourhood_matrix(cycle(10)).row_masks)
         list(kpacking.perfection._class_set_systems(rows, 10))
         # one two entry per row, one meets entry per ordered pair of rows
-        assert len(two) == len(rows)
-        assert len(meets) == len({a & ~b for a in rows for b in rows if a != b})
+        assert two.cache_info().currsize == len(rows)
+        assert meets.cache_info().currsize == len({a & ~b for a in rows for b in rows if a != b})
 
 
 class TestRowDisjointCounter:
