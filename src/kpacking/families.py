@@ -11,6 +11,7 @@ from .graphs import (
     GRAPH_FILE_NODE_CAP,
     BinaryMatrix,
     Graph,
+    _attach_node,
     _bit,
     _invariant_classes,
     _isomorphic,
@@ -136,15 +137,19 @@ def _census(n: int) -> tuple[Graph, ...]:
     # that the walk reaches is tried: every later one would be rejected as
     # isomorphic to that first candidate or to the graph that rejected it.
     # The kept graphs and their order are those of trying every set, and
-    # stay so for any subset of the automorphisms.
-    top = 1 << (n - 1)
+    # stay so for any subset of the automorphisms, so the identity is left
+    # out.  A candidate's invariants are updated from its parent's.
     buckets: dict[tuple, list] = {}
     out: list[Graph] = []
+    identity = tuple(range(n - 1))
     for base in _census(n - 1):
         inv_base = _node_invariants(base.adj)
         classes_base = _invariant_classes(inv_base)
         plan = _placement(base.adj, inv_base, classes_base)
-        autos = list(_isomorphisms(plan, base.adj, classes_base))
+        autos = [
+            p for p in _isomorphisms(plan, base.adj, classes_base) if p != identity
+        ]
+        attach = _attach_node(base.adj)
         reached: set[int] = set()
         for r in range(1, n):
             for subset in itertools.combinations(range(n - 1), r):
@@ -158,20 +163,14 @@ def _census(n: int) -> tuple[Graph, ...]:
                     for v in subset:
                         image |= 1 << perm[v]
                     reached.add(image)
-                adj = list(base.adj)
-                for v in subset:
-                    adj[v] |= top
-                adj.append(row)
-                inv = _node_invariants(adj)
+                adj, inv = attach(subset)
                 classes = _invariant_classes(inv)
                 bucket = buckets.setdefault(tuple(sorted(inv)), [])
-                # the invariant multiset is fixed within a bucket, so the
-                # candidate's placement serves every kept graph in it
-                if bucket:
-                    plan = _placement(adj, inv, classes)
-                    if any(_isomorphic(plan, a, c) for a, c in bucket):
-                        continue
-                bucket.append((adj, classes))
+                # the invariant multiset is fixed within a bucket, so each
+                # kept graph's placement, built once, serves every candidate
+                if any(_isomorphic(kept, adj, classes) for kept in bucket):
+                    continue
+                bucket.append(_placement(adj, inv, classes))
                 # node n joins both rows of each new edge, so the rows stay
                 # a valid graph's
                 out.append(Graph._unchecked(n, tuple(adj)))

@@ -222,22 +222,74 @@ def maximal_cliques(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(tuple(_bits(m)) for m in out))
 
 
-def _node_invariants(adj) -> list[tuple[int, ...]]:
-    """Per node of the mask rows ``adj``: its degree, then how many of its
-    neighbours have each degree that occurs in the graph, in ascending degree
-    order (one round of colour refinement).
+def _node_invariants(adj) -> list[int]:
+    """Per node of the mask rows ``adj``: one int packing its degree and how
+    many of its neighbours have each degree (one round of colour refinement).
+
+    On n nodes each field is ``n.bit_length()`` bits wide, so no count
+    carries into the next field.  Field d holds the number of neighbours of
+    degree d, and the top field (field n) the node's degree.  Two nodes get
+    equal ints exactly when they have the same degree and the same sorted
+    neighbour degrees.
     """
+    w = len(adj).bit_length()
     degs = [row.bit_count() for row in adj]
     classes: dict[int, int] = {}
     for v, d in enumerate(degs):
         classes[d] = classes.get(d, 0) | 1 << v
-    masks = [classes[d] for d in sorted(classes)]
-    return [(d, *((row & m).bit_count() for m in masks)) for d, row in zip(degs, adj)]
+    top = w * len(adj)
+    return [
+        d << top | sum((row & m).bit_count() << w * e for e, m in classes.items())
+        for d, row in zip(degs, adj)
+    ]
 
 
-def _invariant_classes(inv) -> dict[tuple[int, ...], int]:
+def _attach_node(adj):
+    """For the mask rows ``adj`` of a graph on n-1 nodes: a function that
+    joins a new node n to a nonempty neighbour set S (0-based nodes,
+    ascending) and returns the new rows and their ``_node_invariants``.
+
+    The invariants are updated from adj's, not rebuilt.  With B[d] the unit
+    of field d, each u in S gains a degree (B[n]) and a neighbour of degree
+    |S| (B[|S|]); each neighbour of u sees u's degree d rise by one
+    (B[d+1] - B[d]); and node n gets |S|·B[n] plus B[d(u)+1] per u in S.
+    """
+    n = len(adj) + 1
+    w = n.bit_length()
+    unit = [1 << w * d for d in range(n + 1)]
+    top = 1 << (n - 1)
+    # adj's invariants at n nodes' field width: node n enters without
+    # neighbours
+    start = _node_invariants((*adj, 0))
+    degs = [row.bit_count() for row in adj]
+    moves = [
+        [(x - 1, unit[d + 1] - unit[d]) for x in _bits(row)]
+        for d, row in zip(degs, adj)
+    ]
+
+    def attach(subset):
+        rows = list(adj)
+        inv = list(start)
+        gain = unit[n] + unit[len(subset)]
+        row = 0
+        last = unit[n] * len(subset)
+        for u in subset:
+            row |= 1 << u
+            rows[u] |= top
+            inv[u] += gain
+            for x, step in moves[u]:
+                inv[x] += step
+            last += unit[degs[u] + 1]
+        rows.append(row)
+        inv[-1] = last
+        return rows, inv
+
+    return attach
+
+
+def _invariant_classes(inv) -> dict[int, int]:
     """Per node invariant in ``inv``: the mask of the nodes that have it."""
-    classes: dict[tuple[int, ...], int] = {}
+    classes: dict[int, int] = {}
     for w, key in enumerate(inv):
         classes[key] = classes.get(key, 0) | 1 << w
     return classes

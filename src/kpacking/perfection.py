@@ -43,8 +43,10 @@ VERTEX_ENUMERATION_COLUMN_CAP = 10
 # more than 4,282; the 120 three-column rows of 10 columns exit 3 after 1.4-1.6
 # s (2-vCPU x86-64 VM, Python 3.11)
 SUPPORT_PASS_BASIS_CAP = 10**5
-# distinct restricted systems whose solutions the support pass keeps per process
-SOLVED_SYSTEM_MEMO_SIZE = 1024
+# distinct restricted systems whose solutions the support pass keeps per
+# process; one report pass over the connected graphs up to 8 nodes meets
+# 11,999 of them
+SOLVED_SYSTEM_MEMO_SIZE = 16384
 
 
 def _check_odd_hole_cap(n: int) -> None:

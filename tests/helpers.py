@@ -52,6 +52,11 @@ def degree_sequence(g: Graph) -> tuple[int, ...]:
     return tuple(sorted(row.bit_count() for row in g.adj))
 
 
+def reference_node_invariant(g: Graph, v: int) -> tuple[int, ...]:
+    """Node v's degree, then the degrees of its neighbours in ascending order."""
+    return (degree(g, v), *sorted(degree(g, u) for u in neighbours(g, v)))
+
+
 def row_support(m: BinaryMatrix, i: int) -> tuple[int, ...]:
     return tuple(_bits(m.row_masks[i - 1]))
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -26,6 +27,7 @@ from kpacking import (
     wheel,
 )
 from kpacking.families import KNOWN_CENSUS_COUNTS
+from kpacking.graphs import _attach_node, _node_invariants
 
 from helpers import (
     brute_canonical_code,
@@ -39,8 +41,7 @@ from helpers import (
 # sha256 of json.dumps([list(g.adj) for g in enumerate_connected_graphs(n)]),
 # recorded before the census moved to bitmask rows and before it pruned
 # neighbour sets by parent orbit: the same representatives in the same order.
-# The n = 8 list (digest 7a8080d8c4e3...) is matched by hand after each
-# change to the census; it takes seconds, so it is not a test.
+# The n = 8 list takes about a second to build.
 CENSUS_DIGESTS = {
     1: "db407f11d7ede59abaab0e98e097ff2dae10a048207b801745d7199ef19c2387",
     2: "ea9610e84656457b8984fb4f10806a7046e6a685dd6ca9f80baa8decfeec15fd",
@@ -49,6 +50,7 @@ CENSUS_DIGESTS = {
     5: "4cc19893ea89b3e3270061ad1ce592b24d4bb741fc724e61d1ea4818f314259c",
     6: "d928d149bb1deccc22f4ec47a8f110c36aa73853367fe8ec3850064fee4db326",
     7: "2ac175f5c927edee91511fca7d6045b6456849c6b3204534916d5f80f19ea167",
+    8: "7a8080d8c4e38be720d825a2e75d1ffa342ab6a6935297766155d049f7010662",
 }
 
 
@@ -186,7 +188,7 @@ class TestCliqueCycleFamily:
 
 class TestCensus:
     def test_counts(self):
-        expected = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+        expected = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
         for n, count in expected.items():
             assert sum(1 for _ in enumerate_connected_graphs(n)) == count
 
@@ -212,6 +214,21 @@ class TestCensus:
     def test_representatives_are_pinned(self, n):
         rows = json.dumps([list(g.adj) for g in enumerate_connected_graphs(n)])
         assert hashlib.sha256(rows.encode()).hexdigest() == CENSUS_DIGESTS[n]
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_attached_invariants_match_a_rebuild(self, n):
+        # every neighbour set, not only one per parent orbit
+        for base in enumerate_connected_graphs(n - 1):
+            attach = _attach_node(base.adj)
+            for r in range(1, n):
+                for subset in itertools.combinations(range(n - 1), r):
+                    rows, inv = attach(subset)
+                    expected = [
+                        row | 1 << n - 1 if v in subset else row
+                        for v, row in enumerate(base.adj)
+                    ]
+                    assert rows == [*expected, sum(1 << v for v in subset)]
+                    assert inv == _node_invariants(rows)
 
     def test_range_validation(self):
         with pytest.raises(FamilyParameterError):

@@ -50,6 +50,7 @@ from helpers import (
     maximal_cliques_bruteforce,
     neighbours,
     reference_bits,
+    reference_node_invariant,
     relabel,
     row_support,
     universal_nodes,
@@ -349,6 +350,57 @@ class TestIsomorphism:
 
     def test_different_sizes(self):
         assert not is_isomorphic(cycle(4), cycle(5))
+
+
+def star(n: int) -> Graph:
+    return Graph.from_edges(n, [(1, v) for v in range(2, n + 1)])
+
+
+# Nodes 1 and 2 both have degree 17.  Node 1 has 16 leaf neighbours (3-18)
+# and node 19 of degree 3; node 2 has 17 neighbours of degree 2 (22-38, each
+# also joined to node 39).  In 4-bit fields node 1's 16 leaves carry into
+# field 2, and both nodes would read 16**2 + 16**3.
+CARRY_PAIR = Graph.from_edges(
+    39,
+    [(1, v) for v in range(3, 20)]
+    + [(19, 20), (19, 21)]
+    + [(2, v) for v in range(22, 39)]
+    + [(v, 39) for v in range(22, 39)],
+)
+
+
+def blocks(keys) -> list[list[int]]:
+    """The nodes grouped by equal key, as sorted lists."""
+    out: dict = {}
+    for v, key in enumerate(keys):
+        out.setdefault(key, []).append(v)
+    return sorted(out.values())
+
+
+class TestNodeInvariants:
+    """One packed int per node: the degree in the top field, and in field d
+    the number of neighbours of degree d."""
+
+    @pytest.mark.parametrize(
+        "g", [wheel(20), star(20), CARRY_PAIR, complete(17), cycle(3)]
+    )
+    def test_fields_hold_the_degree_and_the_neighbour_degree_counts(self, g):
+        w = g.n.bit_length()
+        field = (1 << w) - 1
+        for v, packed in enumerate(_node_invariants(g.adj), start=1):
+            d, *around = reference_node_invariant(g, v)
+            assert packed >> w * g.n == d
+            for e in range(g.n):
+                assert packed >> w * e & field == around.count(e)
+
+    @given(graphs(max_nodes=12))
+    @example(wheel(20))
+    @example(star(20))
+    @example(CARRY_PAIR)
+    @settings(max_examples=150)
+    def test_nodes_split_as_the_reference_does(self, g):
+        reference = [reference_node_invariant(g, v) for v in g.nodes()]
+        assert blocks(_node_invariants(g.adj)) == blocks(reference)
 
 
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:
