@@ -130,7 +130,8 @@ def _parse_k_list(raw: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad k list {raw!r}") from None
     if not ks or any(k < 1 for k in ks):
         raise argparse.ArgumentTypeError("k values must be positive integers")
-    return ks
+    # a repeated k would be solved again and reported once
+    return list(dict.fromkeys(ks))
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ its results.
 benchmark reads ``KNOWN_CENSUS_COUNTS`` through ``kpacking.cli``, it calls
 the package's exports as ``kp.<name>``, and its checks in
 ``bench/workloads.py`` read report fields; renaming or moving one breaks
-the bench run, which the tests do not otherwise run.
+the bench run, which the tests do not otherwise run. The repository paths
+that ``README.md`` names are checked here too.
 """
 
 import ast
 import dataclasses
 import importlib
+import re
 import runpy
 from pathlib import Path
 
@@ -21,7 +23,8 @@ import kpacking.cli
 from kpacking import PackingFunction, PerfectionReport, ScalingReport, SolveResult
 from kpacking.recognition import CERTIFICATE_KINDS
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 TRACING = BENCH / "tracing.py"
 
 
@@ -91,6 +94,16 @@ def test_bench_package_lookups_resolve():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+
+
+def test_readme_paths_exist():
+    """Every repository file path ``README.md`` names exists, so deleting or
+    renaming a file that the README points readers to fails here."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    pattern = r"\b(?:tests|bench|src|scripts)/[\w./-]*\.(?:py|json|md)\b"
+    paths = set(re.findall(pattern, readme))
+    assert "tests/test_domination.py" in paths
+    assert sorted(path for path in paths if not (ROOT / path).is_file()) == []
 
 
 def _own_nodes(func: ast.FunctionDef):

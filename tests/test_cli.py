@@ -365,22 +365,42 @@ class TestPerfection:
 
 
 class TestAnalyze:
-    def test_family_report(self, capsys):
-        payload, err = run_json(capsys, "analyze", "--family", "three_sun", "--k", "3")
-        assert payload["packing"]["l1"] == 1
-        assert payload["packing"]["unit_relaxation"] == "3/2"
-        per_k = payload["packing"]["per_k"]["3"]
-        assert per_k == {
-            "k_times_l1": 3,
-            "kpf": 4,
-            "limited": 4,
-            "relaxation": "9/2",
-            "scaling_equality": False,
-        }
-        verdicts = payload["verdicts"]
-        assert verdicts["extended_clique_node"] is False
-        assert verdicts["neighbourhood_matrix_perfect"] is False
-        assert verdicts["structural_agrees"] is True
+    @pytest.mark.parametrize(
+        "family, k, packing, verdicts",
+        [
+            (
+                ["three_sun"], "3",
+                {"l1": 1, "unit_relaxation": "3/2", "per_k": {"3": {
+                    "kpf": 4, "limited": 4, "k_times_l1": 3, "relaxation": "9/2",
+                    "scaling_equality": False}}},
+                {"extended_clique_node": False, "neighbourhood_matrix_perfect": False,
+                 "structural_agrees": True},
+            ),
+            # a non-member with a perfect clique graph, and an extended
+            # clique-node N[G] whose clique graph has an odd hole
+            (
+                ["cycle", "4"], "2",
+                {"l1": 1, "unit_relaxation": "4/3", "per_k": {"2": {
+                    "kpf": 2, "limited": 2, "k_times_l1": 2, "relaxation": "8/3",
+                    "scaling_equality": True}}},
+                {"extended_clique_node": False, "clique_graph_perfect": True,
+                 "neighbourhood_matrix_perfect": False, "structural_verdict": False},
+            ),
+            (
+                ["clique_cycle", "2"], "2",
+                {"l1": 2, "unit_relaxation": "5/2", "per_k": {"2": {
+                    "kpf": 5, "limited": 5, "k_times_l1": 4, "relaxation": "5/1",
+                    "scaling_equality": False}}},
+                {"extended_clique_node": True, "clique_graph_perfect": False,
+                 "neighbourhood_matrix_perfect": False, "structural_verdict": True},
+            ),
+        ],
+        ids=["three_sun", "cycle-4", "clique_cycle-2"],
+    )
+    def test_family_report(self, capsys, family, k, packing, verdicts):
+        payload, err = run_json(capsys, "analyze", "--family", *family, "--k", k)
+        assert payload["packing"] == packing
+        assert {name: payload["verdicts"][name] for name in verdicts} == verdicts
         # stderr is the timing line and nothing else
         seconds = json.loads(err)["timing"]["seconds"]
         assert err == json.dumps({"timing": {"seconds": seconds}}) + "\n"
@@ -390,6 +410,22 @@ class TestAnalyze:
         payload, _ = run_json(capsys, "analyze", square, "--k", "2,3")
         assert set(payload["packing"]["per_k"]) == {"2", "3"}
         assert payload["packing"]["per_k"]["3"]["kpf"] == 4
+
+    def test_repeated_k_is_solved_and_reported_once(self, capsys, square, monkeypatch):
+        asked = []
+        real = kpacking.cli.scaling_reports
+
+        def recorded(g, ks, rep):
+            asked.append(tuple(ks))
+            return real(g, ks, rep)
+
+        monkeypatch.setattr(kpacking.cli, "scaling_reports", recorded)
+        code, repeated, _ = run(capsys, "analyze", square, "--k", "3,2,3")
+        assert code == 0
+        code, once, _ = run(capsys, "analyze", square, "--k", "3,2")
+        assert code == 0
+        assert repeated == once
+        assert asked == [(3, 2), (3, 2)]
 
     def test_deterministic_output(self, capsys, octahedron):
         first, _ = run_json(capsys, "analyze", octahedron, "--k", "2")
@@ -461,6 +497,11 @@ class TestVerify:
     def test_scaling(self, capsys):
         code, out, _ = run(capsys, "verify", "scaling", "--max-n", "4", "--k", "2,3")
         assert code == 0
+
+    def test_scaling_drops_repeated_k(self, capsys):
+        code, out, _ = run(capsys, "verify", "scaling", "--max-n", "3", "--k", "3,2,3")
+        assert code == 0
+        assert "checked: 4 connected graphs with at most 3 nodes, k in {3,2}\n" in out
 
     def test_scaling_builds_one_report_per_graph(self, capsys, monkeypatch):
         calls = []

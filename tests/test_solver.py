@@ -125,10 +125,35 @@ class TestSolveFixtures:
         assert solve_kpf(Graph.from_edges(1, []), 7).optimum == 7
 
     def test_weighted_beats_binary(self):
-        # one high-degree node can absorb value the binary variant cannot
-        g = Graph.from_edges(4, [(1, 2), (1, 3), (2, 4)])
-        assert solve_kpf(g, 3).optimum == 6
-        assert solve_limited_packing(g, 3).optimum == 4
+        # one high-degree node can absorb value the binary variant cannot:
+        # the smallest such graphs, as (n, k, weighted, binary, edges) in
+        # census order
+        gaps = []
+        for n in range(2, 5):
+            for g in enumerate_connected_graphs(n):
+                for k in (2, 3, 4):
+                    weighted = solve_kpf(g, k).optimum
+                    binary = solve_limited_packing(g, k).optimum
+                    if weighted > binary:
+                        gaps.append((n, k, weighted, binary, g.edges()))
+        path2, path3, triangle = ((1, 2),), ((1, 2), (1, 3)), ((1, 2), (1, 3), (2, 3))
+        path4, square = ((1, 2), (1, 3), (2, 4)), ((1, 2), (1, 3), (2, 4), (3, 4))
+        assert gaps == [
+            (2, 3, 3, 2, path2),
+            (2, 4, 4, 2, path2),
+            (3, 4, 4, 3, path3),
+            (3, 4, 4, 3, triangle),
+            (4, 2, 4, 3, path4),
+            (4, 3, 6, 4, path4),
+            (4, 4, 8, 4, path4),
+            (4, 4, 5, 4, square),
+        ]
+        # at k = 1 both variants are the same problem, so nothing can differ
+        assert all(
+            solve_kpf(g, 1).optimum == solve_limited_packing(g, 1).optimum
+            for n in range(1, 7)
+            for g in enumerate_connected_graphs(n)
+        )
 
     def test_witness_is_always_feasible(self):
         for g in (cycle(5), wheel(6), web(7, 2), three_sun()):
