@@ -548,8 +548,17 @@ class TestVerify:
         [
             (("verify", "webs", "--k", "0"), "k values must be positive integers"),
             (("analyze", "--family", "cycle", "5", "--k", "x"), "bad k list 'x'"),
+            (("verify", "scaling", "--k", "-1"), "k values must be positive integers"),
+            (("verify", "scaling", "--k", "x"), "bad k list 'x'"),
+            (("verify", "scaling", "--k", ","), "k values must be positive integers"),
+            (("analyze", "--family", "cycle", "5", "--k", "0"), "k values must be positive integers"),
+            (("analyze", "--family", "cycle", "5", "--k", "-1"), "k values must be positive integers"),
+            (("analyze", "--family", "cycle", "5", "--k", "2,0"), "k values must be positive integers"),
         ],
-        ids=["verify-zero", "analyze-not-an-integer"],
+        ids=[
+            "verify-zero", "analyze-not-an-integer", "verify-negative", "verify-not-an-integer",
+            "verify-empty", "analyze-zero", "analyze-negative", "analyze-zero-in-a-list",
+        ],
     )
     def test_bad_k_names_the_rule(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -640,6 +649,15 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err == "error: census supports 1 <= n <= 8\n"
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--max-n", "x"), ("--max-n", "2.5"), ("--jobs", "x")]
+    )
+    def test_non_integer_count_is_a_usage_error(self, capsys, flag, value):
+        code, out, err = run(capsys, "verify", "census", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.endswith(f"error: argument {flag}: invalid int value: '{value}'\n")
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_is_refused(self, capsys, jobs):
