@@ -379,6 +379,35 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     return _isomorphic(plan, h.adj, _invariant_classes(inv_h))
 
 
+def is_chordal(g: Graph) -> bool:
+    """True iff g has no induced cycle of length >= 4, by simplicial
+    elimination (Dirac 1961; Rose, Tarjan & Lueker 1976).
+
+    A node is simplicial when its closed neighbourhood among the remaining
+    nodes lies in the closed row of each of its members.  Each sweep deletes
+    every node that is simplicial when it is reached; a deleted node's
+    neighbourhood was a clique and stays one as others go, so the deletions
+    in order form a perfect elimination ordering.  g is chordal iff every
+    node goes: each induced subgraph of a chordal graph is chordal and has a
+    simplicial node, and a sweep that deletes nothing leaves an induced
+    subgraph with none.
+    """
+    closed = [row | 1 << v for v, row in enumerate(g.adj)]
+    left = (1 << g.n) - 1
+    while left:
+        before = left
+        for v in _bits(left):
+            nb = closed[v - 1] & left
+            for u in _bits(nb):
+                if nb & ~closed[u - 1]:
+                    break
+            else:
+                left ^= 1 << (v - 1)
+        if left == before:
+            return False
+    return True
+
+
 def induced_cycles(
     g: Graph, min_length: int = 4, odd_only: bool = False, max_length: int | None = None
 ):

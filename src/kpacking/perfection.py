@@ -1,7 +1,12 @@
-"""Perfection oracles: odd hole search for graphs, exact vertex enumeration
+"""Perfection oracles: the Berge test for graphs, exact vertex enumeration
 for the polytope {x in [0,1]^n : Mx <= 1} and the facts read from its
 fractional supports, and the combined verdict for a graph's closed
 neighbourhood matrix.
+
+The Berge test answers a chordal graph by simplicial elimination, since a
+chordal graph has neither an odd hole nor an odd antihole (the proof is in
+``is_perfect_graph``), and searches every other graph and its complement
+for an odd hole.
 
 All arithmetic on polytope data is exact: each candidate basis is solved by
 Gauss-Jordan elimination over the integers, and coordinates are returned as
@@ -26,6 +31,7 @@ from .graphs import (
     closed_neighbourhood_matrix,
     complement,
     induced_cycles,
+    is_chordal,
 )
 from .recognition import (
     RecognitionCertificate,
@@ -65,7 +71,19 @@ def find_odd_hole(g: Graph):
 def is_perfect_graph(g: Graph):
     """(verdict, witness): witness is ("odd_hole", nodes) or ("odd_antihole",
     nodes) where the node tuple induces a hole in the graph or its complement.
+    Graphs above the node cap are rejected first.
+
+    A chordal graph is answered (True, None) without either search, which is
+    the answer the searches give it: it has no hole, odd or even.  Nor has
+    it an odd antihole: one of length 5 is a 5-cycle, and in one of length
+    L >= 7 (complement of the cycle c1..cL) the nodes c1, c4, c2, c5 induce
+    a 4-cycle, since c1c2 and c4c5 are the only cycle edges among them.
+    Every other graph gets the odd hole search in g, then in its complement,
+    so on every input the verdict and witness are those of the two searches.
     """
+    _check_odd_hole_cap(g.n)
+    if is_chordal(g):
+        return True, None
     hole = find_odd_hole(g)
     if hole is not None:
         return False, ("odd_hole", hole)
@@ -562,7 +580,12 @@ def perfection_report(g: Graph) -> PerfectionReport:
 
     ``gq``, the column intersection graph of N[g], is g², and the pattern
     recognizer is the Helly test on N[g], so ``neighbourhood_matrix_perfect``
-    means Helly closed neighbourhoods and a Berge g².
+    means Helly closed neighbourhoods and a Berge g².  ``is_perfect_graph``
+    answers a chordal g² by simplicial elimination, with the verdict and
+    witness the odd hole searches would give (a chordal graph has no hole,
+    an odd antihole of length >= 7 holds an induced 4-cycle, and the one of
+    length 5 is a 5-cycle), and searches any other g²; the polytope
+    cross-check still checks the combined verdict either way.
     """
     _check_odd_hole_cap(g.n)
     m = closed_neighbourhood_matrix(g)

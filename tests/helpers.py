@@ -255,26 +255,6 @@ def universal_nodes(g: Graph) -> tuple[int, ...]:
     return tuple(v for v in g.nodes() if g.adj[v - 1] == full & ~_bit(v))
 
 
-def is_chordal(g: Graph) -> bool:
-    """True iff the graph admits a perfect elimination ordering.
-
-    Greedy simplicial-node removal; correct because chordal graphs always
-    contain a simplicial node and stay chordal under node deletion.
-    """
-    active = (1 << g.n) - 1
-    remaining = g.n
-    while remaining:
-        for v in _bits(active):
-            nb = g.adj[v - 1] & active
-            if all(nb & ~_bit(u) & ~g.adj[u - 1] == 0 for u in _bits(nb)):
-                active &= ~_bit(v)
-                remaining -= 1
-                break
-        else:
-            return False
-    return True
-
-
 def is_totally_balanced(m: BinaryMatrix) -> bool:
     """True iff no row/column submatrix is the node-edge incidence matrix of a
     cycle of length >= 3; equivalently the bipartite row/column incidence graph

@@ -33,9 +33,10 @@ from kpacking import (
     web,
     wheel,
 )
+from kpacking.graphs import is_chordal
 
 from conftest import record_acceptance
-from helpers import is_chordal, universal_nodes
+from helpers import universal_nodes
 
 
 def conclude(name, failures):

@@ -27,13 +27,12 @@ from kpacking import (
     wheel,
 )
 from kpacking.families import KNOWN_CENSUS_COUNTS
-from kpacking.graphs import _attach_node, _node_invariants
+from kpacking.graphs import _attach_node, _node_invariants, is_chordal
 
 from helpers import (
     brute_canonical_code,
     degree_sequence,
     has_edge,
-    is_chordal,
     neighbours,
     universal_nodes,
 )

@@ -36,6 +36,7 @@ from kpacking.graphs import (
     _isomorphisms,
     _node_invariants,
     _placement,
+    is_chordal,
 )
 from kpacking.perfection import VERTEX_ENUMERATION_COLUMN_CAP
 from kpacking.recognition import clique_graph
@@ -46,7 +47,6 @@ from helpers import (
     degree_sequence,
     has_edge,
     induced_subgraph,
-    is_chordal,
     maximal_cliques_bruteforce,
     neighbours,
     reference_bits,
@@ -274,7 +274,7 @@ class TestChordal:
         assert not is_chordal(cycle(4))
         assert not is_chordal(wheel(6))
 
-    @given(graphs(max_nodes=7))
+    @given(graphs(max_nodes=10))
     @settings(max_examples=150)
     def test_matches_induced_cycle_search(self, g):
         assert is_chordal(g) == (next(induced_cycles(g, min_length=4), None) is None)

@@ -10,6 +10,7 @@ import kpacking.perfection
 from kpacking import (
     BinaryMatrix,
     CapExceededError,
+    Graph,
     ZeroColumnError,
     antiweb,
     closed_neighbourhood_matrix,
@@ -28,6 +29,7 @@ from kpacking import (
     web,
     wheel,
 )
+from kpacking.graphs import is_chordal
 
 from helpers import (
     every_row_of_size,
@@ -35,6 +37,7 @@ from helpers import (
     reference_fractional_supports,
     reference_polytope_facts,
     reference_row_disjoint_columns,
+    square,
     tight_constraint_rank,
 )
 from strategies import (
@@ -501,6 +504,57 @@ class TestOddHoles:
         verdict, witness = is_perfect_graph(g)
         assert verdict is False
         assert witness == ("odd_antihole", (1, 4, 7, 3, 6, 2, 5))
+
+
+def berge_by_search(g):
+    """The Berge verdict and witness from the two odd hole searches alone."""
+    hole = find_odd_hole(g)
+    if hole is not None:
+        return False, ("odd_hole", hole)
+    antihole = find_odd_hole(complement(g))
+    if antihole is not None:
+        return False, ("odd_antihole", antihole)
+    return True, None
+
+
+class TestBergeByElimination:
+    """``is_perfect_graph`` answers chordal graphs without searching, with
+    the verdict and witness the searches give."""
+
+    def test_census_and_squares_match_the_searches(self):
+        for n in range(1, 8):
+            for g in enumerate_connected_graphs(n):
+                for h in (g, square(g)):
+                    assert is_perfect_graph(h) == berge_by_search(h)
+
+    @given(graphs(max_nodes=10))
+    @settings(max_examples=200)
+    def test_matches_the_searches(self, g):
+        assert is_perfect_graph(g) == berge_by_search(g)
+
+    def test_census_coverage(self, monkeypatch):
+        census = [g for n in range(1, 8) for g in enumerate_connected_graphs(n)]
+        assert sum(is_chordal(square(g)) for g in census) == 970
+        calls = []
+        search = kpacking.perfection.find_odd_hole
+
+        def counted(g):
+            calls.append(g.n)
+            return search(g)
+
+        monkeypatch.setattr(kpacking.perfection, "find_odd_hole", counted)
+        reports = [perfection_report(g) for g in census]
+        # both searches on each of the 26 squares that are not chordal
+        assert len(calls) == 52
+        assert sum(not r.clique_graph_perfect for r in reports) == 1
+
+    def test_cap_comes_before_elimination(self):
+        message = "odd hole search capped at 16 nodes"
+        with pytest.raises(CapExceededError, match=f"^{message}$"):
+            is_perfect_graph(complete(17))
+        path = Graph.from_edges(17, [(v, v + 1) for v in range(1, 17)])
+        with pytest.raises(CapExceededError, match=f"^{message}$"):
+            perfection_report(path)
 
 
 class TestPerfectionReport:
