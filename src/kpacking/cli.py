@@ -202,7 +202,7 @@ def _cmd_recognize(args) -> int:
     # in table order, so that the same cap fires first; a matrix input skips
     # the kinds that read the graph under "all" and refuses them by name
     certs = {}
-    for name, (_, recognize, _) in CERTIFICATE_KINDS.items():
+    for name, (_, recognize, *_) in CERTIFICATE_KINDS.items():
         if args.method == name and inputs[name] is None:
             raise ValueError(f"the {name} method needs a graph input")
         if args.method in (name, "all") and inputs[name] is not None:
@@ -324,7 +324,7 @@ def _recognizer_failure(g: Graph, ks: tuple[int, ...]) -> str | None:
     inputs = kind_inputs(g)
     verdicts = {
         name: recognize(inputs[name]).verdict
-        for name, (_, recognize, _) in CERTIFICATE_KINDS.items()
+        for name, (_, recognize, *_) in CERTIFICATE_KINDS.items()
     }
     if len(set(verdicts.values())) == 1:
         return None

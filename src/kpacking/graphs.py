@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 from .errors import CapExceededError, ParseError
 
-# Largest node count a graph file may declare.  Checked before the graph is
-# built, because building one costs time quadratic in n.
+# Largest node count a graph file, and column count a matrix file, may
+# declare.  Checked right after the header, because building the graph, or a
+# matrix's column intersection graph, costs time quadratic in it.
 GRAPH_FILE_NODE_CAP = 1024
 # search nodes plus pivot candidates scanned by one maximal clique search; a
 # run stopped by it ends in 2.5-4.3 s (60 x 60 cocktail-party matrix, 2-vCPU
@@ -408,9 +409,7 @@ def is_chordal(g: Graph) -> bool:
     return True
 
 
-def induced_cycles(
-    g: Graph, min_length: int = 4, odd_only: bool = False, max_length: int | None = None
-):
+def induced_cycles(g: Graph, min_length: int = 4, max_length: int | None = None):
     """Yield chordless induced cycles of length >= min_length, one tuple each.
 
     Each cycle appears exactly once: rotation is fixed by starting at its
@@ -448,7 +447,7 @@ def induced_cycles(
             # the closing nodes above the second node, which fixes reflection
             closing = cand & sadj >> path[1] << path[1]
             length = len(path) + 1
-            if closing and length >= min_length and (not odd_only or length % 2 == 1):
+            if closing and length >= min_length:
                 for u in _bits(closing):
                     yield tuple(path) + (u,)
             children = cand & ~sadj
@@ -525,6 +524,10 @@ def parse_matrix(text: str) -> BinaryMatrix:
     lines, no, r, c = _header(text, "matrix", "r c")
     if r < 1 or c < 1:
         raise ParseError(f"line {no}: need r >= 1 and c >= 1")
+    if c > GRAPH_FILE_NODE_CAP:
+        raise CapExceededError(
+            f"line {no}: matrix files are capped at {GRAPH_FILE_NODE_CAP} columns"
+        )
     if len(lines) - 1 != r:
         raise ParseError(f"expected {r} matrix rows, found {len(lines) - 1}")
     masks = []

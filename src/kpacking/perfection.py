@@ -65,7 +65,7 @@ def find_odd_hole(g: Graph):
     order, or None.  Graphs above the node cap are rejected.
     """
     _check_odd_hole_cap(g.n)
-    return next(induced_cycles(g, 5, odd_only=True), None)
+    return next((c for c in induced_cycles(g, 5) if len(c) % 2), None)
 
 
 def is_perfect_graph(g: Graph):
@@ -172,10 +172,10 @@ def _fractional_supports(m: BinaryMatrix):
     call in the process, bounded by ``SOLVED_SYSTEM_MEMO_SIZE`` systems.
 
     Raises ``CapExceededError`` above ``VERTEX_ENUMERATION_COLUMN_CAP``
-    columns, which bounds the per-width truth tables and the rho table (one
-    bit or entry per set of twin classes, at most 2**n) and
-    ``polytope_vertices``' listing; and once the bases of the systems met
-    so far, C(|maximal|, |S|) for each, add up to more than
+    columns, which bounds the per-width truth tables (one bit per set of twin
+    classes), rho's memo (one entry per column mask), both at most 2**n, and
+    ``polytope_vertices``' listing; and once the bases of the systems met so
+    far, C(|maximal|, |S|) for each, add up to more than
     ``SUPPORT_PASS_BASIS_CAP``.
     """
     cap = VERTEX_ENUMERATION_COLUMN_CAP
@@ -410,59 +410,40 @@ def polytope_vertices(m: BinaryMatrix) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(map(coord.__getitem__, v)) for v in found)
 
 
-def _row_disjoint_counter(conflict: list[int]):
-    """rho: column mask S -> the most pairwise row-disjoint columns inside
-    S, the independence number of the conflict graph on S, where
+def _row_disjoint_columns(conflict: list[int], memo: dict[int, int], mask: int) -> int:
+    """rho(S), the most pairwise row-disjoint columns inside the column mask
+    S: the independence number of the conflict graph on S, where
     ``conflict[j - 1]`` masks the columns that share a row with column j.
-
-    Columns with one closed conflict mask are twins: they conflict with each
-    other and with the same other columns, so S holds at most one of them
-    and any one will do.  Two columns of different classes conflict exactly
-    when their classes do.  A column that conflicts with nothing (a zero
-    column, or one alone in every row holding it) counts once in every S
-    holding it.  So rho[S] is the class-level rho of the classes S meets,
-    read from a table over the 2**r class masks, plus its lone columns.
+    With j the lowest column of S and N[j] it and its conflicts,
+    rho(S) = max(rho(S - j), 1 + rho(S - N[j])), which is 1 + rho(S - j)
+    when j conflicts with nothing in S.  ``memo`` keeps every S reached.
     """
-    lone = 0
-    index: dict[int, int] = {}
-    of_column = [0] * len(conflict)  # each column's class as a one-bit mask
-    for j, mk in enumerate(conflict):
-        if mk:
-            of_column[j] = 1 << index.setdefault(mk | 1 << j, len(index))
-        else:
-            lone |= 1 << j
-    # the classes each class conflicts with: those of its closed conflict mask
-    near = [0] * len(index)
-    for closed, c in index.items():
-        for j in _bits(closed):
-            near[c] |= of_column[j - 1]
-    # doubled one class c at a time: for a mask s of earlier classes,
-    # rho[s with c] = max(rho[s], 1 + rho[s without c's conflicts]); rho is
-    # monotone, so that is rho[s] plus one exactly when the two are equal
-    table = [0]
-    for mk in near:
-        keep = ~mk
-        table += [t + (t == table[s & keep]) for s, t in enumerate(table)]
+    got = memo.get(mask)
+    if got is None:
+        low = mask & -mask
+        rest = mask ^ low
+        near = conflict[low.bit_length() - 1] & rest
+        got = 1 + _row_disjoint_columns(conflict, memo, rest & ~near)
+        if near:
+            got = max(got, _row_disjoint_columns(conflict, memo, rest))
+        memo[mask] = got
+    return got
 
-    def rho(mask: int) -> int:
-        classes = 0
-        for j in _bits(mask & ~lone):
-            classes |= of_column[j - 1]
-        return table[classes] + (mask & lone).bit_count()
 
-    return rho
+def _row_disjoint_counter(conflict: list[int]):
+    """rho: column mask S -> the most pairwise row-disjoint columns inside S
+    (``_row_disjoint_columns``), all its calls sharing one memo."""
+    return functools.partial(_row_disjoint_columns, conflict, {0: 0})
 
 
 def _largest_sum(conflict: list[int], den: int, starts: list):
     """(the largest coordinate sum as a numerator over ``den``, rho) over
     the vertices grown from ``starts``: with rho[S] the most pairwise
     row-disjoint columns inside S, a start reaches at most its sum plus
-    rho[free] ones, and the largest sum is the best of these.  rho is read
-    once per distinct free mask.
+    rho[free] ones, and the largest sum is the best of these.
     """
     rho = _row_disjoint_counter(conflict)
-    ones = {free: rho(free) for free in {free for _, _, free in starts}}
-    return max(total + ones[free] * den for _, total, free in starts), rho
+    return max(total + rho(free) * den for _, total, free in starts), rho
 
 
 def _polytope_facts(
@@ -549,7 +530,7 @@ class PerfectionReport:
     a tuple of ``Fraction`` coordinates: the least such solution padded with
     zeros.  ``unit_relaxation`` is the largest coordinate sum over the
     vertices, the exact optimum of the linear relaxation at k = 1 (the
-    optimum at k is k times it), taken from the support solutions and a table
+    optimum at k is k times it), taken from the support solutions and a count
     of the largest one-sets.  All three come from ``_polytope_facts`` without
     listing any vertex, and are None when the graph exceeds the vertex
     enumeration cap.  The structural screen's

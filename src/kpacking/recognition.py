@@ -25,7 +25,8 @@ graph is undefined there.
 
 Each path returns a :class:`RecognitionCertificate` whose witness can be
 re-checked independently via :func:`recheck_certificate`.  ``CERTIFICATE_KINDS``
-maps each path's name to its recognizer and its recheck.
+maps each path's name to its recognizer, its recheck and the JSON shape of
+its witness fields.
 
 On ``N[G]`` the column intersection graph is ``G²``, so membership, an
 extended clique-node matrix with a perfect column intersection graph, reads
@@ -354,37 +355,34 @@ def recheck_certificate(payload: dict, instance: Graph | BinaryMatrix) -> bool:
     return CERTIFICATE_KINDS[method][2](payload, read, payload["verdict"])
 
 
-def _is_int_list(value) -> bool:
-    # exact type, because JSON true/false load as bool, a subclass of int
-    return isinstance(value, list) and all(type(x) is int for x in value)
+def _fits(value, shape) -> bool:
+    """Whether JSON ``value`` has ``shape``: ``[s]`` is a list of items of
+    shape s, ``{key: s}`` an object whose value at each key has shape s, and
+    a type is matched exactly, because JSON true/false load as bool, a
+    subclass of int."""
+    if isinstance(shape, list):
+        return isinstance(value, list) and all(_fits(x, shape[0]) for x in value)
+    if isinstance(shape, dict):
+        return isinstance(value, dict) and all(_fits(value.get(k), s) for k, s in shape.items())
+    return type(value) is shape
+
+
+_INTEGERS = ([int], "certificate field {field!r} must be a list of integers")
 
 
 def _check_payload_shape(payload) -> None:
+    """Raise ParseError unless ``payload`` is an object with a boolean
+    verdict and each witness field it holds has the shape its kind's row
+    declares, whatever the payload's method."""
     if not isinstance(payload, dict):
         raise ParseError("certificate must be a JSON object")
     # exact type: a verdict read by truthiness would accept "no" or 1
     if type(payload.get("verdict")) is not bool:
         raise ParseError("certificate field 'verdict' must be a JSON boolean")
-    for field in ("uncovered_clique", "pattern_columns", "pattern_rows",
-                  "pattern_zeros", "obstruction_nodes"):
-        if field in payload and not _is_int_list(payload[field]):
-            raise ParseError(f"certificate field {field!r} must be a list of integers")
-    cover = payload.get("cover", [])
-    if not isinstance(cover, list) or not all(
-        isinstance(item, dict) and _is_int_list(item.get("clique"))
-        and type(item.get("row")) is int for item in cover
-    ):
-        raise ParseError("certificate cover items need a 'clique' list and a 'row' integer")
-    dominated = payload.get("dominated", [])
-    if not isinstance(dominated, list) or not all(
-        isinstance(item, dict) and type(item.get("kind")) is str
-        and _is_int_list(item.get("nodes")) and type(item.get("dominator")) is int
-        for item in dominated
-    ):
-        raise ParseError(
-            "certificate dominated items need a 'kind' string, a 'nodes' list "
-            "and a 'dominator' integer"
-        )
+    for *_, fields in CERTIFICATE_KINDS.values():
+        for field, (shape, message) in fields.items():
+            if field in payload and not _fits(payload[field], shape):
+                raise ParseError(message.format(field=field))
 
 
 def _recheck_cliques(payload: dict, m: BinaryMatrix, verdict: bool) -> bool:
@@ -465,12 +463,27 @@ def _recheck_structural(payload: dict, g: Graph, verdict: bool) -> bool:
 
 
 # kind -> (whether its recognizer reads the graph rather than the matrix, the
-# recognizer, the recheck of its certificates).  The CLI lists, runs and
-# rechecks the kinds in this order, so a new kind is one row here.
+# recognizer, the recheck of its certificates, its witness fields whose JSON
+# shape ``_check_payload_shape`` checks, each as (shape, error message)).  The
+# CLI lists, runs and rechecks the kinds in this order, so a new kind is one
+# row here.
 CERTIFICATE_KINDS = {
-    "cliques": (False, is_extended_clique_node_by_cliques, _recheck_cliques),
-    "pattern": (False, is_extended_clique_node_by_pattern, _recheck_pattern),
-    "structural": (True, find_undominated_obstruction, _recheck_structural),
+    "cliques": (False, is_extended_clique_node_by_cliques, _recheck_cliques, {
+        "uncovered_clique": _INTEGERS,
+        "cover": ([{"clique": [int], "row": int}],
+                  "certificate cover items need a 'clique' list and a 'row' integer"),
+    }),
+    "pattern": (False, is_extended_clique_node_by_pattern, _recheck_pattern, {
+        "pattern_columns": _INTEGERS,
+        "pattern_rows": _INTEGERS,
+        "pattern_zeros": _INTEGERS,
+    }),
+    "structural": (True, find_undominated_obstruction, _recheck_structural, {
+        "obstruction_nodes": _INTEGERS,
+        "dominated": ([{"kind": str, "nodes": [int], "dominator": int}],
+                      "certificate dominated items need a 'kind' string, a 'nodes' list "
+                      "and a 'dominator' integer"),
+    }),
 }
 
 

@@ -201,7 +201,7 @@ def test_clique_cycle_family():
             failures.append(f"member {k} is not chordal")
     g = clique_cycle_family(2)
     gq = clique_graph(closed_neighbourhood_matrix(g))
-    hole = next(induced_cycles(gq, min_length=5, odd_only=True), None)
+    hole = next((c for c in induced_cycles(gq, min_length=5) if len(c) % 2), None)
     if hole is None or len(hole) != 5:
         failures.append("clique graph of member 2 has no induced 5-cycle")
     if is_perfect_graph(gq)[0]:

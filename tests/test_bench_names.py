@@ -148,3 +148,18 @@ def test_bench_checks_read_library_fields():
         known.update(field.name for field in dataclasses.fields(cls))
         known.update(name for name in vars(cls) if callable(getattr(cls, name)))
     assert sorted(reads - known) == []
+
+
+def test_readme_names_every_cap():
+    """Every ``*_CAP`` constant of the library is named, with its module, in
+    the README's resource-caps section, so a new cap is documented there."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = readme.index("Resource caps, each defined once")
+    section = readme[start:readme.index("\n## ", start)]
+    caps = [
+        f"{path.stem}.{name}"
+        for path in (ROOT / "src" / "kpacking").glob("*.py")
+        for name in re.findall(r"^([A-Z][A-Z_]*_CAP) =", path.read_text(encoding="utf-8"), re.M)
+    ]
+    assert len(caps) == 10
+    assert sorted(cap for cap in caps if f"`{cap}`" not in section) == []

@@ -9,7 +9,8 @@ filter were made cheaper, each by running this module's ``census_digests``
 on the previous implementation.  The relaxation, vertex and report digests
 also gated the support pass's move to per-width truth tables and to a rho
 table over twin classes, with the relaxation witness computed only for
-``lp_relaxation``; they passed unchanged.  The digests are recomputed with:
+``lp_relaxation``, and the table's later replacement by memoized branching;
+they passed unchanged.  The digests are recomputed with:
 
     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \\
         import test_census_digests as t; print(t.census_digests())"

@@ -892,3 +892,22 @@ class TestErrorPaths:
     def test_no_arguments(self, capsys):
         code, _, _ = run(capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["recognize", "perfection", "verify-certificate"])
+    def test_matrix_files_above_the_column_cap(self, capsys, tmp_path, command):
+        # one all-ones row: its column intersection graph would be complete
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps({"method": "cliques", "verdict": True}))
+        path = tmp_path / "wide.matrix"
+        path.write_text(f"1 1025\n{'1' * 1025}\n")
+        certificate = [str(cert_path)] if command == "verify-certificate" else []
+        code, out, err = run(capsys, command, *certificate, "--matrix", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == "error: line 1: matrix files are capped at 1024 columns\n"
+
+    def test_matrix_file_at_the_column_cap(self, capsys, tmp_path):
+        path = tmp_path / "wide.matrix"
+        path.write_text(f"1 1024\n{'1' * 1024}\n")
+        payload, _ = run_json(capsys, "recognize", "--matrix", str(path))
+        assert payload["methods"]["cliques"]["verdict"] is True

@@ -17,6 +17,7 @@ from kpacking import (
     complete,
     cycle,
     enumerate_connected_graphs,
+    find_odd_hole,
     format_graph,
     format_matrix,
     induced_cycles,
@@ -236,8 +237,10 @@ class TestInducedCycles:
         assert list(induced_cycles(complete(6))) == []
 
     def test_odd_filter(self):
-        assert list(induced_cycles(cycle(6), min_length=5, odd_only=True)) == []
-        assert list(induced_cycles(cycle(5), min_length=5, odd_only=True)) == [(1, 2, 3, 4, 5)]
+        # find_odd_hole keeps the odd cycles of the search, in its order
+        assert list(induced_cycles(cycle(6), min_length=5)) == [(1, 2, 3, 4, 5, 6)]
+        assert find_odd_hole(cycle(6)) is None
+        assert find_odd_hole(cycle(5)) == (1, 2, 3, 4, 5)
 
     @pytest.mark.parametrize("bound", [4, 5, 6])
     def test_max_length_filters_the_unbounded_output(self, bound):

@@ -379,8 +379,9 @@ class TestClassSetFilter:
 
 
 class TestRowDisjointCounter:
-    """rho over any column mask, read from the table over twin classes,
-    against a brute-force independence number of the conflict graph."""
+    """rho over any column mask, by branching on its lowest column with one
+    memo per counter, against a brute-force independence number of the
+    conflict graph."""
 
     @staticmethod
     def assert_same_counts(m, masks):
@@ -411,6 +412,14 @@ class TestRowDisjointCounter:
         assert kpacking.perfection._row_disjoint_counter(
             kpacking.perfection._fractional_supports(m)[0]
         )(0b11111) == 4
+
+    def test_every_mask_of_the_census_up_to_six_nodes(self):
+        # the full mask first, so later masks meet a memo it filled
+        census = [g for n in range(1, 7) for g in enumerate_connected_graphs(n)]
+        assert len(census) == 143
+        for g in census:
+            m = closed_neighbourhood_matrix(g)
+            self.assert_same_counts(m, reversed(range(1 << m.cols)))
 
 
 class TestSolvedSystemMemo:

@@ -409,7 +409,7 @@ class TestCertificateRecheck:
             for g in enumerate_connected_graphs(n):
                 on_graph = kind_inputs(g)
                 on_matrix = kind_inputs(closed_neighbourhood_matrix(g))
-                for name, (_, recognize, _) in CERTIFICATE_KINDS.items():
+                for name, (_, recognize, *_) in CERTIFICATE_KINDS.items():
                     payload = recognize(on_graph[name]).to_payload()
                     assert json.loads(json.dumps(payload)) == payload
                     assert recheck_certificate(payload, g) is True, (name, list(g.edges()))
