@@ -3,10 +3,9 @@ for the polytope {x in [0,1]^n : Mx <= 1} and the facts read from its
 fractional supports, and the combined verdict for a graph's closed
 neighbourhood matrix.
 
-The Berge test answers a chordal graph by simplicial elimination, since a
-chordal graph has neither an odd hole nor an odd antihole (the proof is in
-``is_perfect_graph``), and searches every other graph and its complement
-for an odd hole.
+The Berge test answers a chordal graph by simplicial elimination (why that
+is exact is in ``is_perfect_graph``), and searches every other graph and its
+complement for an odd hole.
 
 All arithmetic on polytope data is exact: each candidate basis is solved by
 Gauss-Jordan elimination over the integers, and coordinates are returned as
@@ -390,24 +389,23 @@ def polytope_vertices(m: BinaryMatrix) -> tuple[tuple[Fraction, ...], ...]:
     """
     conflict, den, starts = _fractional_supports(m)
     found: list[tuple[int, ...]] = []
-
-    def complete(point: list[int], free: int) -> None:
-        found.append(tuple(point))
-        for j in _bits(free):
-            point[j - 1] = den
-            # later columns only, so each one-set is built once
-            complete(point, (free & ~conflict[j - 1]) >> j << j)
-            point[j - 1] = 0
-
     for point, _, free in starts:
-        complete(list(point), free)
-    # complete holds itself through its closure; dropping the name frees it
-    # now instead of at the next cyclic garbage collection
-    del complete
+        _complete(found, conflict, den, list(point), free)
     found.sort()
     # one Fraction per distinct numerator, shared by every vertex using it
     coord = {a: Fraction(a, den) for a in {den}.union(*(p for p, _, _ in starts))}
     return tuple(tuple(map(coord.__getitem__, v)) for v in found)
+
+
+def _complete(found: list, conflict: list[int], den: int, point: list, free: int):
+    """Append ``point``, then its completion by each row-compatible one-set of
+    the ``free`` columns (ones are ``den``), to ``found``."""
+    found.append(tuple(point))
+    for j in _bits(free):
+        point[j - 1] = den
+        # later columns only, so each one-set is built once
+        _complete(found, conflict, den, point, (free & ~conflict[j - 1]) >> j << j)
+        point[j - 1] = 0
 
 
 def _row_disjoint_columns(conflict: list[int], memo: dict[int, int], mask: int) -> int:
@@ -430,19 +428,14 @@ def _row_disjoint_columns(conflict: list[int], memo: dict[int, int], mask: int) 
     return got
 
 
-def _row_disjoint_counter(conflict: list[int]):
-    """rho: column mask S -> the most pairwise row-disjoint columns inside S
-    (``_row_disjoint_columns``), all its calls sharing one memo."""
-    return functools.partial(_row_disjoint_columns, conflict, {0: 0})
-
-
 def _largest_sum(conflict: list[int], den: int, starts: list):
     """(the largest coordinate sum as a numerator over ``den``, rho) over
-    the vertices grown from ``starts``: with rho[S] the most pairwise
-    row-disjoint columns inside S, a start reaches at most its sum plus
-    rho[free] ones, and the largest sum is the best of these.
+    the vertices grown from ``starts``: with rho(S) the most pairwise
+    row-disjoint columns inside S (``_row_disjoint_columns``, all calls of
+    rho sharing one memo), a start reaches at most its sum plus rho(free)
+    ones, and the largest sum is the best of these.
     """
-    rho = _row_disjoint_counter(conflict)
+    rho = functools.partial(_row_disjoint_columns, conflict, {0: 0})
     return max(total + rho(free) * den for _, total, free in starts), rho
 
 
@@ -477,7 +470,7 @@ def _relaxation_vertex(m: BinaryMatrix) -> tuple[Fraction, tuple[Fraction, ...]]
 
     Among the starts that reach the largest sum (``_largest_sum``), each is
     completed to its least maximizing vertex, column by column: a free
-    column stays 0 while the rest of the free columns still hold rho[free]
+    column stays 0 while the rest of the free columns still hold rho(free)
     ones, and otherwise becomes 1 and takes its conflicts out of the free
     columns.  The least completion is the relaxation witness.
     """
@@ -563,10 +556,9 @@ def perfection_report(g: Graph) -> PerfectionReport:
     recognizer is the Helly test on N[g], so ``neighbourhood_matrix_perfect``
     means Helly closed neighbourhoods and a Berge g².  ``is_perfect_graph``
     answers a chordal g² by simplicial elimination, with the verdict and
-    witness the odd hole searches would give (a chordal graph has no hole,
-    an odd antihole of length >= 7 holds an induced 4-cycle, and the one of
-    length 5 is a 5-cycle), and searches any other g²; the polytope
-    cross-check still checks the combined verdict either way.
+    witness the odd hole searches would give (see its docstring), and
+    searches any other g²; the polytope cross-check still checks the
+    combined verdict either way.
     """
     _check_odd_hole_cap(g.n)
     m = closed_neighbourhood_matrix(g)

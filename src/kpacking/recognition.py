@@ -55,9 +55,10 @@ from .graphs import (
 # for p = 0.3, 0.5, 0.7, and 19 ms on the worst graph found (2-vCPU x86-64 VM,
 # Python 3.11)
 STRUCTURAL_SCREEN_NODE_CAP = 24
-# row triples visited plus extension checks made by one pattern search; a run
-# stopped by it ends in 0.6-1.3 s on the VM above (seeded random 64 x 64
-# matrices of density 0.5-0.8)
+# one pattern search's work: a unit per triple of distinct rows, plus the bound
+# |za| * |zb| * |zc| on the extension checks of each triple with three zero
+# columns; a run stopped by it ends in 0.6-1.3 s on the VM above (seeded random
+# 64 x 64 matrices of density 0.5-0.8)
 PATTERN_WORK_CAP = 4 * 10**6
 
 
@@ -160,6 +161,7 @@ def is_extended_clique_node_by_pattern(m: BinaryMatrix) -> RecognitionCertificat
     passes it for every sub-extension too, so checking maximal extensions only
     is exhaustive; a missing covering row is itself the violation witness.
     Negative witness: minimal (column set, row triple) in lexicographic order.
+    Each distinct row is read once and labelled by its first occurrence.
     Each column keeps the mask of the rows holding it, so the rows covering
     an extension are found by ANDing masks rather than by scanning rows.
 
@@ -168,29 +170,33 @@ def is_extended_clique_node_by_pattern(m: BinaryMatrix) -> RecognitionCertificat
     nodes lying in two of N[a], N[b], N[c] lies in no N[v], because the
     extension lies in W(a,b,c).
 
-    Raises ``CapExceededError`` once the row triples visited plus the
-    extension checks made exceed ``PATTERN_WORK_CAP``.
+    Raises ``CapExceededError`` once a unit per triple of distinct rows, plus
+    |za| * |zb| * |zc| (a bound on its extension checks) per triple with three
+    zero columns, charged before its loops, exceeds ``PATTERN_WORK_CAP``.
     """
     _check_recognizer_input(m)
     work_cap = PATTERN_WORK_CAP
     work = 0
-    rows = m.row_masks
-    # per column j, the rows (bit i for row i + 1) that have a 1 in column j
+    # a triple holding one row twice has no zero column, and one using a later
+    # copy has the column sets of the first-occurrence triple, visited first
+    rows = tuple(dict.fromkeys(m.row_masks))
+    n = len(rows)
+    # per column j, the rows (bit i for rows[i]) that have a 1 in column j
     holders = [0] * m.cols
     for i, row in enumerate(rows):
         for j in _bits(row):
             holders[j - 1] |= 1 << i
-    all_rows = (1 << m.rows) - 1
+    all_rows = (1 << n) - 1
     best = None
     for a, ra in enumerate(rows):
-        for b in range(a + 1, m.rows):
+        for b in range(a + 1, n):
             rb = rows[b]
             # the row triples (a, b, c) about to be visited
-            work += m.rows - b - 1
+            work += n - b - 1
             if work > work_cap:
                 raise _pattern_work_exceeded(work_cap)
             only_b, only_a, both = ~ra & rb, ra & ~rb, ra & rb
-            for c in range(b + 1, m.rows):
+            for c in range(b + 1, n):
                 rc = rows[c]
                 za = only_b & rc
                 zb = only_a & rc
@@ -216,14 +222,14 @@ def is_extended_clique_node_by_pattern(m: BinaryMatrix) -> RecognitionCertificat
                             # a later row triple never beats an equal column
                             # set, and a larger cc gives a later column set
                             if best is None or _lex_less(ext, best[0]):
-                                best = (ext, (a + 1, b + 1, c + 1), (ca, cb, cc))
+                                best = (ext, (a, b, c), (ca, cb, cc))
                             break
     if best is None:
         return RecognitionCertificate("pattern", True, {})
     ext, row_triple, zeros = best
     return RecognitionCertificate("pattern", False, {
         "pattern_columns": tuple(_bits(ext)),
-        "pattern_rows": row_triple,
+        "pattern_rows": tuple(m.row_masks.index(rows[i]) + 1 for i in row_triple),
         "pattern_zeros": zeros,
     })
 

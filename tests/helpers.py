@@ -19,7 +19,6 @@ from kpacking import (
 )
 from kpacking.graphs import _bit, _bits
 from kpacking.perfection import VERTEX_ENUMERATION_COLUMN_CAP, _eliminate
-from kpacking.recognition import _lex_less
 
 TOTALLY_BALANCED_COLUMN_CAP = 16
 
@@ -166,8 +165,9 @@ def reference_pattern(m: BinaryMatrix) -> RecognitionCertificate:
     """The forbidden 3-row pattern search before it kept row-holder masks:
     per row triple it lists the rows covering the triple's common columns,
     per zero-column pair the rows covering the pair too, and it tests every
-    third zero column against that list.  Triple order and the minimal
-    witness rule are those of ``is_extended_clique_node_by_pattern``; the
+    third zero column against that list.  It walks every row, repeated ones
+    too, and orders column sets by their ascending label tuples; the minimal
+    witness rule is that of ``is_extended_clique_node_by_pattern``, and the
     work cap is left to the library.  Expects a matrix with no zero column.
     """
     rows = m.row_masks
@@ -193,13 +193,14 @@ def reference_pattern(m: BinaryMatrix) -> RecognitionCertificate:
                             ext = common | pair | _bit(cc)
                             if any(r & ext == ext for r in carriers2):
                                 continue
-                            if best is None or _lex_less(ext, best[0]):
-                                best = (ext, (a + 1, b + 1, c + 1), (ca, cb, cc))
+                            key = reference_bits(ext)
+                            if best is None or key < best[0]:
+                                best = (key, (a + 1, b + 1, c + 1), (ca, cb, cc))
     if best is None:
         return RecognitionCertificate("pattern", True, {})
-    ext, row_triple, zeros = best
+    columns, row_triple, zeros = best
     return RecognitionCertificate("pattern", False, {
-        "pattern_columns": tuple(_bits(ext)),
+        "pattern_columns": columns,
         "pattern_rows": row_triple,
         "pattern_zeros": zeros,
     })

@@ -303,6 +303,17 @@ class TestRecognize:
         payload, _ = run_json(capsys, "recognize", "--matrix", str(path), "--method", "cliques")
         assert payload["methods"]["cliques"]["verdict"] is True
 
+    @pytest.mark.parametrize("rows", [300, 200_000])
+    def test_repeated_rows_are_read_once(self, capsys, tmp_path, rows):
+        # one distinct row: no row triple for the pattern search to visit
+        path = tmp_path / "ones.matrix"
+        path.write_text(f"{rows} 2\n" + "11\n" * rows)
+        payload, _ = run_json(capsys, "recognize", "--matrix", str(path))
+        assert payload["methods"] == {"cliques": {"verdict": True},
+                                      "pattern": {"verdict": True}}
+        payload, _ = run_json(capsys, "recognize", "--matrix", str(path), "--method", "pattern")
+        assert payload["methods"] == {"pattern": {"verdict": True}}
+
     def test_clique_work_cap_exit(self, capsys, tmp_path, monkeypatch):
         # the column intersection graph has 256 maximal cliques; finding them
         # costs 1259 units

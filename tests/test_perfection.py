@@ -379,14 +379,16 @@ class TestClassSetFilter:
 
 
 class TestRowDisjointCounter:
-    """rho over any column mask, by branching on its lowest column with one
-    memo per counter, against a brute-force independence number of the
-    conflict graph."""
+    """rho over any column mask, by branching on its lowest column with the
+    one memo ``_largest_sum`` gives it, against a brute-force independence
+    number of the conflict graph."""
 
     @staticmethod
-    def assert_same_counts(m, masks):
-        conflict = kpacking.perfection._fractional_supports(m)[0]
-        rho = kpacking.perfection._row_disjoint_counter(conflict)
+    def counter(m):
+        return kpacking.perfection._largest_sum(*kpacking.perfection._fractional_supports(m))[1]
+
+    def assert_same_counts(self, m, masks):
+        rho = self.counter(m)
         for mask in masks:
             assert rho(mask) == reference_row_disjoint_columns(m, mask), (m, mask)
 
@@ -409,9 +411,7 @@ class TestRowDisjointCounter:
         # and columns 4 and 5 share the last row
         m = BinaryMatrix(2, 5, (0b00100, 0b11000))
         self.assert_same_counts(m, range(1 << 5))
-        assert kpacking.perfection._row_disjoint_counter(
-            kpacking.perfection._fractional_supports(m)[0]
-        )(0b11111) == 4
+        assert self.counter(m)(0b11111) == 4
 
     def test_every_mask_of_the_census_up_to_six_nodes(self):
         # the full mask first, so later masks meet a memo it filled

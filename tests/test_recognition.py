@@ -2,7 +2,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import kpacking.recognition
@@ -199,6 +199,28 @@ class TestExactRecognizers:
             is_extended_clique_node_by_pattern(m)
         monkeypatch.undo()
         assert is_extended_clique_node_by_pattern(m) == answer
+
+    def test_pattern_reads_each_distinct_row_once(self, monkeypatch):
+        # N[K8] is eight copies of one row, so no row triple is visited
+        monkeypatch.setattr(kpacking.recognition, "PATTERN_WORK_CAP", 0)
+        cert = is_extended_clique_node_by_pattern(closed_neighbourhood_matrix(complete(8)))
+        assert cert == RecognitionCertificate("pattern", True, {})
+
+    @given(any_binary_matrices(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_appended_row_copies_leave_the_payloads_unchanged(self, m, data):
+        assume(not m.has_zero_column())
+        copies = data.draw(st.lists(st.sampled_from(m.row_masks), min_size=1, max_size=8))
+        more = BinaryMatrix(m.rows + len(copies), m.cols, m.row_masks + tuple(copies))
+        for recognize in EXACT_RECOGNIZERS:
+            assert recognize(more).to_payload() == recognize(m).to_payload()
+
+    def test_census_matrices_with_a_repeated_row(self):
+        # the matrices on which the pattern search reads fewer rows than N[G] has
+        census = [closed_neighbourhood_matrix(g)
+                  for n in range(1, 8) for g in enumerate_connected_graphs(n)]
+        assert len(census) == 996
+        assert sum(len(set(m.row_masks)) < m.rows for m in census) == 412
 
     @given(any_binary_matrices())
     @settings(max_examples=300, deadline=None)

@@ -1,10 +1,13 @@
 import gc
 
 from kpacking import (
+    BinaryMatrix,
     closed_neighbourhood_matrix,
     cycle,
     induced_cycles,
+    is_extended_clique_node_by_pattern,
     is_isomorphic,
+    lp_relaxation,
     perfection_report,
     polytope_vertices,
     solve_kpf,
@@ -24,6 +27,10 @@ def test_searches_leave_no_reference_cycles():
         solve_kpf(cycle(6), 2)
         perfection_report(web(9, 2))
         _polytope_facts(closed_neighbourhood_matrix(wheel(8)))
+        lp_relaxation(web(9, 2), 1)
+        # N[web(6, 2)] twice over: a negative pattern read on distinct rows
+        rows = closed_neighbourhood_matrix(web(6, 2)).row_masks * 2
+        is_extended_clique_node_by_pattern(BinaryMatrix(12, 6, rows))
 
     # the support pass's memo of solved systems is filled, and refilled from
     # cold, under both settings of the collector
