@@ -42,23 +42,12 @@ def wheel(n: int) -> Graph:
     return Graph.from_edges(n, rim + [(i, n) for i in range(1, n)])
 
 
-def _circular_distance(i: int, j: int, n: int) -> int:
-    d = abs(i - j)
-    return min(d, n - d)
-
-
 def web(n: int, k: int) -> Graph:
     """Nodes 1..n arranged in a circle; ij is an edge iff circular distance <= k."""
     if n < 2 or k < 1:
         raise FamilyParameterError("web needs n >= 2 and k >= 1")
-    return Graph.from_edges(
-        n,
-        (
-            (i, j)
-            for i, j in itertools.combinations(range(1, n + 1), 2)
-            if _circular_distance(i, j, n) <= k
-        ),
-    )
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    return Graph.from_edges(n, [(i, j) for i, j in pairs if min(j - i, n - j + i) <= k])
 
 
 def antiweb(n: int, k: int) -> Graph:
@@ -111,10 +100,8 @@ def clique_cycle_family(k: int) -> Graph:
     evens = range(2, n + 1, 2)
     edges = list(itertools.combinations(evens, 2))
     for odd in range(1, n + 1, 2):
-        before = n if odd == 1 else odd - 1
-        edges.append(tuple(sorted((odd, before))))
-        edges.append((odd, odd + 1))
-    return Graph.from_edges(n, sorted(set(edges)))
+        edges += [(odd, n if odd == 1 else odd - 1), (odd, odd + 1)]
+    return Graph.from_edges(n, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -142,9 +142,6 @@ class BinaryMatrix:
             if m & ~full:
                 raise ValueError(f"row {i} references columns above {self.cols}")
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.row_masks[i - 1] >> (j - 1)) & 1
-
     def has_zero_column(self) -> bool:
         seen = 0
         for row in self.row_masks:
@@ -465,18 +462,11 @@ def induced_cycles(g: Graph, min_length: int = 4, max_length: int | None = None)
 # Lines starting with '#' and blank lines are ignored in both formats.
 
 
-def _data_lines(text: str):
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield no, line
-
-
 def _header(text: str, kind: str, names: str):
     """The data lines of a ``kind`` file, the number of its first line and
     the two integers on it, called ``names`` in the error messages."""
-    lines = list(_data_lines(text))
+    lines = [(no, line) for no, raw in enumerate(text.splitlines(), start=1)
+             if (line := raw.strip()) and not line.startswith("#")]
     if not lines:
         raise ParseError(f"empty {kind} file")
     no, head = lines[0]
@@ -540,6 +530,6 @@ def parse_matrix(text: str) -> BinaryMatrix:
 
 def format_matrix(m: BinaryMatrix) -> str:
     lines = [f"{m.rows} {m.cols}"]
-    for i in range(1, m.rows + 1):
-        lines.append("".join(str(m.entry(i, j)) for j in range(1, m.cols + 1)))
+    # column 1 is bit 0, so the binary digits read in reverse
+    lines += [format(mask, f"0{m.cols}b")[::-1] for mask in m.row_masks]
     return "\n".join(lines) + "\n"

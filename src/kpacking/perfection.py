@@ -458,9 +458,7 @@ def _polytope_facts(
     # equal points share their sum and free columns, so the least start
     # holds the least point
     first = min(starts[1:])[0]
-    # one Fraction per distinct numerator
-    coord = {a: Fraction(a, den) for a in set(first)}
-    return tuple(map(coord.__getitem__, first)), unit
+    return tuple(Fraction(a, den) for a in first), unit
 
 
 def _relaxation_vertex(m: BinaryMatrix) -> tuple[Fraction, tuple[Fraction, ...]]:
@@ -491,9 +489,7 @@ def _relaxation_vertex(m: BinaryMatrix) -> tuple[Fraction, tuple[Fraction, ...]]
             free &= ~bit
         if witness is None or point < witness:
             witness = point
-    # one Fraction per distinct numerator
-    coord = {a: Fraction(a, den) for a in set(witness)}
-    return Fraction(best, den), tuple(map(coord.__getitem__, witness))
+    return Fraction(best, den), tuple(Fraction(a, den) for a in witness)
 
 
 def is_perfect_matrix(m: BinaryMatrix):

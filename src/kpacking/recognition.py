@@ -148,10 +148,6 @@ def _lex_less(x: int, y: int) -> bool:
     return y >= low if x & low else x < low
 
 
-def _pattern_work_exceeded(cap: int) -> CapExceededError:
-    return CapExceededError(f"pattern recognizer did more than {cap} units of work")
-
-
 def is_extended_clique_node_by_pattern(m: BinaryMatrix) -> RecognitionCertificate:
     """Accept iff no 3-row forbidden pattern exists.
 
@@ -176,6 +172,7 @@ def is_extended_clique_node_by_pattern(m: BinaryMatrix) -> RecognitionCertificat
     """
     _check_recognizer_input(m)
     work_cap = PATTERN_WORK_CAP
+    over = f"pattern recognizer did more than {work_cap} units of work"
     work = 0
     # a triple holding one row twice has no zero column, and one using a later
     # copy has the column sets of the first-occurrence triple, visited first
@@ -194,7 +191,7 @@ def is_extended_clique_node_by_pattern(m: BinaryMatrix) -> RecognitionCertificat
             # the row triples (a, b, c) about to be visited
             work += n - b - 1
             if work > work_cap:
-                raise _pattern_work_exceeded(work_cap)
+                raise CapExceededError(over)
             only_b, only_a, both = ~ra & rb, ra & ~rb, ra & rb
             for c in range(b + 1, n):
                 rc = rows[c]
@@ -205,7 +202,7 @@ def is_extended_clique_node_by_pattern(m: BinaryMatrix) -> RecognitionCertificat
                     continue
                 work += za.bit_count() * zb.bit_count() * zc.bit_count()
                 if work > work_cap:
-                    raise _pattern_work_exceeded(work_cap)
+                    raise CapExceededError(over)
                 common = both & rc
                 # the rows holding every column of common
                 hc = all_rows

@@ -60,6 +60,11 @@ def row_support(m: BinaryMatrix, i: int) -> tuple[int, ...]:
     return tuple(_bits(m.row_masks[i - 1]))
 
 
+def entry(m: BinaryMatrix, i: int, j: int) -> int:
+    """The 0/1 entry of ``m`` in row i and column j, both 1-based."""
+    return (m.row_masks[i - 1] >> (j - 1)) & 1
+
+
 def every_row_of_size(cols: int, size: int) -> BinaryMatrix:
     """The matrix whose rows are the ``size``-column sets of ``cols`` columns,
     each once, in lexicographic order."""

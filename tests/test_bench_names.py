@@ -6,14 +6,18 @@ benchmark reads ``KNOWN_CENSUS_COUNTS`` through ``kpacking.cli``, it calls
 the package's exports as ``kp.<name>``, and its checks in
 ``bench/workloads.py`` read report fields; renaming or moving one breaks
 the bench run, which the tests do not otherwise run. The repository paths
-that ``README.md`` names are checked here too.
+that ``README.md`` names and the values its library tour states are
+checked here too.
 """
 
 import ast
 import dataclasses
 import importlib
+import io
 import re
 import runpy
+import tokenize
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -104,6 +108,33 @@ def test_readme_paths_exist():
     paths = set(re.findall(pattern, readme))
     assert "tests/test_domination.py" in paths
     assert sorted(path for path in paths if not (ROOT / path).is_file()) == []
+
+
+def test_readme_library_tour_values():
+    """The README's library tour runs, and each expression in it that ends
+    in a comment evaluates to the value that comment states."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = readme.index("```python\n", readme.index("## Library tour")) + len("```python\n")
+    source = readme[start:readme.index("```", start)]
+    comments = {
+        tok.start[0]: tok.string[1:].strip()
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+        if tok.type == tokenize.COMMENT
+    }
+    namespace = {"Fraction": Fraction}
+    checked = []
+    for stmt in ast.parse(source).body:
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+            continue
+        got = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+        stated = comments[stmt.end_lineno]
+        assert got == eval(stated, namespace), stated
+        checked.append(stated)
+    assert checked == [
+        "5", "4", "(Fraction(4, 3), (Fraction(1, 3),) * 4)", "(False, (Fraction(1, 3),) * 4)",
+        "False", "Fraction(3, 2)", "[(2, 3, 2), (3, 4, 3)]",
+    ]
 
 
 def _own_nodes(func: ast.FunctionDef):

@@ -180,6 +180,19 @@ class TestSolve:
         assert payload["optimum"] == "4/3"
         assert payload["witness"]["unit_vertex"] == ["1/3"] * 4
 
+    def test_oracle_disagreement_still_writes_the_report(self, capsys, square, monkeypatch):
+        def wrong_oracle(g, k):
+            res = kpacking.solver.solve_kpf_bruteforce(g, k)
+            return dataclasses.replace(res, optimum=res.optimum + 1)
+
+        monkeypatch.setattr(kpacking.cli, "solve_kpf_bruteforce", wrong_oracle)
+        code, out, err = run(capsys, "solve", square, "--k", "4", "--oracle")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["optimum"] == 5
+        assert payload["oracle"] == {"agrees": False, "optimum": 6}
+        assert err == "error: solver found 5, oracle found 6\n"
+
     def test_lp_refuses_oracle(self, capsys, square):
         code, _, _ = run(capsys, "solve", square, "--k", "1", "--variant", "lp", "--oracle")
         assert code == 2
@@ -336,6 +349,24 @@ class TestRecognize:
     def test_graph_and_matrix_are_exclusive(self, capsys, square):
         code, _, _ = run(capsys, "recognize", "--graph", square, "--matrix", square)
         assert code == 2
+
+    def test_exact_disagreement_still_writes_the_report(self, capsys, square, monkeypatch):
+        flag, pattern, *rest = kpacking.recognition.CERTIFICATE_KINDS["pattern"]
+
+        def flipped(m):
+            cert = pattern(m)
+            return dataclasses.replace(cert, verdict=not cert.verdict)
+
+        monkeypatch.setitem(
+            kpacking.recognition.CERTIFICATE_KINDS, "pattern", (flag, flipped, *rest)
+        )
+        code, out, err = run(capsys, "recognize", "--graph", square, "--method", "all")
+        assert code == 1
+        payload = json.loads(out)
+        methods = payload["methods"]
+        assert methods["pattern"]["verdict"] is not methods["cliques"]["verdict"]
+        assert payload["exact_methods_agree"] is False
+        assert err == "error: the exact recognizers disagree\n"
 
 
 class TestPerfection:
@@ -541,6 +572,62 @@ class TestVerify:
     def test_webs(self, capsys):
         code, out, _ = run(capsys, "verify", "webs", "--max-n", "8", "--k", "1,2")
         assert code == 0
+
+    def test_webs_membership_counterexample_fails_the_suite(self, capsys, monkeypatch):
+        real = kpacking.cli.perfection_report
+
+        def wrong_on_the_4_cycle(g):
+            rep = real(g)
+            if g.n != 4:
+                return rep
+            return dataclasses.replace(rep, neighbourhood_matrix_perfect=True)
+
+        monkeypatch.setattr(kpacking.cli, "perfection_report", wrong_on_the_4_cycle)
+        code, out, _ = run(capsys, "verify", "webs", "--max-n", "4", "--k", "1")
+        assert code == 1
+        assert out == (
+            "suite: webs\n"
+            "counterexample: web(4,1) membership=True expected=False\n"
+            "checked: 3 webs plus 2 column graph identities\n"
+            "result: FAIL\n"
+        )
+
+    def test_webs_column_graph_counterexamples_fail_the_suite(self, capsys, monkeypatch):
+        monkeypatch.setattr(kpacking.cli, "is_isomorphic", lambda g, h: False)
+        code, out, _ = run(capsys, "verify", "webs", "--max-n", "4", "--k", "1")
+        assert code == 1
+        assert out == (
+            "suite: webs\n"
+            "counterexample: column graph of the 5-cycle matrix is not complete\n"
+            "counterexample: column graph of the 6-cycle matrix is not web(6,2)\n"
+            "checked: 3 webs plus 2 column graph identities\n"
+            "result: FAIL\n"
+        )
+
+    def test_census_count_counterexample_fails_the_suite(self, capsys, monkeypatch):
+        monkeypatch.setitem(kpacking.cli.KNOWN_CENSUS_COUNTS, 3, 3)
+        code, out, _ = run(capsys, "verify", "census", "--max-n", "3")
+        assert code == 1
+        assert out == (
+            "suite: census\n"
+            "census(1): 1 classes\n"
+            "census(2): 1 classes\n"
+            "counterexample: census(3) has 2 classes, expected 3\n"
+            "census(3): 2 classes\n"
+            "result: FAIL\n"
+        )
+
+    def test_census_connectivity_counterexample_fails_the_suite(self, capsys, monkeypatch):
+        monkeypatch.setattr(kpacking.cli, "is_connected", lambda g: g.n != 2)
+        code, out, _ = run(capsys, "verify", "census", "--max-n", "2")
+        assert code == 1
+        assert out == (
+            "suite: census\n"
+            "census(1): 1 classes\n"
+            "counterexample: disconnected census member n=2 [1-2]\n"
+            "census(2): 1 classes\n"
+            "result: FAIL\n"
+        )
 
     def test_webs_beyond_the_odd_hole_cap_is_refused_before_any_work(
         self, capsys, monkeypatch

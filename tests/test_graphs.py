@@ -44,6 +44,7 @@ from kpacking.recognition import clique_graph
 
 from helpers import (
     brute_canonical_code,
+    entry,
     degree,
     degree_sequence,
     has_edge,
@@ -149,7 +150,7 @@ class TestClosedNeighbourhoodMatrix:
     @given(graphs(max_nodes=6))
     def test_diagonal_is_all_ones(self, g):
         m = closed_neighbourhood_matrix(g)
-        assert all(m.entry(i, i) == 1 for i in range(1, g.n + 1))
+        assert all(entry(m, i, i) == 1 for i in range(1, g.n + 1))
 
 
 class TestComplementAndSubgraphs:
@@ -576,8 +577,8 @@ def test_arbitrary_text_parses_or_raises_a_library_error(parse, kind, structured
 class TestBinaryMatrix:
     def test_accessors(self):
         m = parse_matrix("2 3\n101\n010\n")
-        assert m.entry(1, 3) == 1
-        assert m.entry(2, 3) == 0
+        assert entry(m, 1, 3) == 1
+        assert entry(m, 2, 3) == 0
         assert row_support(m, 1) == (1, 3)
         assert not m.has_zero_column()
         assert m.rows != m.cols

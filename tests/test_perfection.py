@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ import kpacking.perfection
 from kpacking import (
     BinaryMatrix,
     CapExceededError,
+    ConsistencyError,
     Graph,
     ZeroColumnError,
     antiweb,
@@ -32,6 +34,7 @@ from kpacking import (
 from kpacking.graphs import is_chordal
 
 from helpers import (
+    entry,
     every_row_of_size,
     reference_class_set_systems,
     reference_fractional_supports,
@@ -79,7 +82,7 @@ def brute_vertices(m):
     and skipped.  Exponential, so only usable for a handful of columns.
     """
     n = m.cols
-    rows = [[m.entry(i, j) for j in range(1, n + 1)] for i in range(1, m.rows + 1)]
+    rows = [[entry(m, i, j) for j in range(1, n + 1)] for i in range(1, m.rows + 1)]
     unit = [[int(i == j) for i in range(n)] for j in range(n)]
     found = set()
     for k in range(min(len(rows), n) + 1):
@@ -608,6 +611,28 @@ class TestPerfectionReport:
     def test_certificates_round_trip_keys(self):
         rep = perfection_report(pyramid(2))
         assert set(rep.certificates) == {"cliques", "pattern", "structural"}
+
+    def test_exact_recognizers_must_agree(self, monkeypatch):
+        real = kpacking.perfection.is_extended_clique_node_by_pattern
+
+        def flipped(m):
+            cert = real(m)
+            return dataclasses.replace(cert, verdict=not cert.verdict)
+
+        monkeypatch.setattr(kpacking.perfection, "is_extended_clique_node_by_pattern", flipped)
+        with pytest.raises(
+            ConsistencyError, match="^exact recognizers disagree: cliques=True pattern=False$"
+        ):
+            perfection_report(wheel(6))
+
+    def test_polytope_check_must_agree(self, monkeypatch):
+        half = (Fraction(1, 2),) * 6
+        monkeypatch.setattr(kpacking.perfection, "_polytope_facts", lambda m: (half, 3))
+        with pytest.raises(
+            ConsistencyError,
+            match="^polytope check disagrees with combined verdict: matrix=False combined=True$",
+        ):
+            perfection_report(wheel(6))
 
     def test_refuses_oversize_graphs_before_any_work(self, monkeypatch):
         def fail(m):

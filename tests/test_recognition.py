@@ -34,6 +34,7 @@ from kpacking.graphs import _bits
 from kpacking.recognition import CERTIFICATE_KINDS, _obstruction_kind, kind_inputs
 
 from helpers import (
+    entry,
     helly_violations,
     is_totally_balanced,
     reference_kind,
@@ -165,9 +166,9 @@ class TestExactRecognizers:
         # the zero positions really carry the claimed 0/1 pattern
         r1, r2, r3 = cert.witness["pattern_rows"]
         z1, z2, z3 = cert.witness["pattern_zeros"]
-        assert m.entry(r1, z1) == 0 and m.entry(r2, z1) == 1 and m.entry(r3, z1) == 1
-        assert m.entry(r1, z2) == 1 and m.entry(r2, z2) == 0 and m.entry(r3, z2) == 1
-        assert m.entry(r1, z3) == 1 and m.entry(r2, z3) == 1 and m.entry(r3, z3) == 0
+        assert entry(m, r1, z1) == 0 and entry(m, r2, z1) == 1 and entry(m, r3, z1) == 1
+        assert entry(m, r1, z2) == 1 and entry(m, r2, z2) == 0 and entry(m, r3, z2) == 1
+        assert entry(m, r1, z3) == 1 and entry(m, r2, z3) == 1 and entry(m, r3, z3) == 0
 
     def test_input_validation(self):
         # any shape is taken; a zero column is the one refusal

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kpacking.perfection
 import kpacking.solver
 from kpacking import (
     CapExceededError,
@@ -433,16 +434,53 @@ class TestScalingReport:
                     check_scaling_identity(g, k) for k in ks
                 )
 
-    def test_violation_names_its_k(self, monkeypatch):
-        real = kpacking.solver.solve_kpf
+    @staticmethod
+    def shift_optimum(monkeypatch, name, by, k_from=1):
+        """Patch the solver ``name`` to report its optimum plus ``by`` for
+        every k from ``k_from`` on."""
+        real = getattr(kpacking.solver, name)
 
-        def short(g, k):
+        def patched(g, k):
             res = real(g, k)
-            return dataclasses.replace(res, optimum=res.optimum - 1)
+            return dataclasses.replace(res, optimum=res.optimum + by) if k >= k_from else res
 
-        monkeypatch.setattr(kpacking.solver, "solve_kpf", short)
+        monkeypatch.setattr(kpacking.solver, name, patched)
+
+    def test_violation_names_its_k(self, monkeypatch):
+        self.shift_optimum(monkeypatch, "solve_kpf", -1)
         with pytest.raises(ConsistencyError, match="^k=3: integer optimum 2 below"):
             scaling_reports(wheel(6), (3,), perfection_report(wheel(6)))
+
+    def test_binary_above_integer_is_refused(self, monkeypatch):
+        # L_1 stays the solver's, so only the k = 2 bound breaks
+        self.shift_optimum(monkeypatch, "solve_limited_packing", 1, k_from=2)
+        with pytest.raises(
+            ConsistencyError, match="^k=2: binary optimum 3 above the integer optimum 2$"
+        ):
+            scaling_reports(wheel(6), (2,), perfection_report(wheel(6)))
+
+    def test_integer_above_the_relaxation_is_refused(self, monkeypatch):
+        self.shift_optimum(monkeypatch, "solve_kpf", 1)
+        with pytest.raises(
+            ConsistencyError,
+            match=r"^k=3: integer optimum 5 above the relaxation value 4$",
+        ):
+            scaling_reports(cycle(4), (3,), perfection_report(cycle(4)))
+
+    def test_perfect_matrix_with_a_failing_identity_is_refused(self, monkeypatch):
+        # without the relaxation, a perfect report leaves only the identity
+        monkeypatch.setattr(kpacking.perfection, "VERTEX_ENUMERATION_COLUMN_CAP", 0)
+        rep = perfection_report(wheel(6))
+        assert rep.neighbourhood_matrix_perfect and rep.unit_relaxation is None
+        self.shift_optimum(monkeypatch, "solve_kpf", 1)
+        with pytest.raises(
+            ConsistencyError,
+            match=(
+                r"^k=2: perfect neighbourhood matrix but the scaling identity "
+                r"failed: 3 != 2$"
+            ),
+        ):
+            scaling_reports(wheel(6), (2,), rep)
 
     @given(connected_graphs(max_nodes=6), st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
